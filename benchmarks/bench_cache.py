@@ -1,10 +1,10 @@
 """Shared analysis context: suite-scale speedup at identical outcomes.
 
 The optimizer's pass pipeline shares one generation-keyed
-`AnalysisContext` across conditionals (cross-branch summary cache,
-memoized mod/ref and indices, snapshot reuse, restore elision, in-place
-restructuring under snapshot protection, and dirty-procedure-scoped
-re-verification).  `--no-analysis-cache` recovers the original
+`AnalysisContext` across conditionals (pre-analysis reuse, interned
+queries, memoized mod/ref and indices, snapshot reuse, restore elision,
+in-place restructuring under snapshot protection, and
+dirty-procedure-scoped re-verification).  `--no-analysis-cache` recovers the original
 derive-everything-per-conditional behaviour.
 
 This bench runs the scale-8 tier (thousands of ICFG nodes per program)
@@ -62,8 +62,6 @@ def measure(name):
         "plain_s": plain_s,
         "optimized": cached.optimized_count,
         "records": len(cached.records),
-        "hits": cached.cache.summary_hits,
-        "misses": cached.cache.summary_misses,
         "reused": cached.cache.analyses_reused,
         "snap_reuse": cached.cache.snapshot_reuses,
         "elided": cached.cache.restores_elided,
@@ -77,19 +75,18 @@ def test_cache_speedup_at_scale(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = [[name, r["records"], r["optimized"],
              round(r["cached_s"], 2), round(r["plain_s"], 2),
-             round(r["plain_s"] / r["cached_s"], 2),
-             f"{r['hits']}/{r['misses']}", r["reused"],
+             round(r["plain_s"] / r["cached_s"], 2), r["reused"],
              r["snap_reuse"], r["elided"]]
             for name, r in results.items()]
     cached_total = sum(r["cached_s"] for r in results.values())
     plain_total = sum(r["plain_s"] for r in results.values())
     speedup = plain_total / cached_total
     rows.append(["TOTAL", "", "", round(cached_total, 2),
-                 round(plain_total, 2), round(speedup, 2), "", "", "", ""])
+                 round(plain_total, 2), round(speedup, 2), "", "", ""])
     print()
     print(render_table(
         ["benchmark (x8)", "conds", "opt", "cache [s]", "no-cache [s]",
-         "speedup", "hits/misses", "analyses reused", "snap reused",
+         "speedup", "analyses reused", "snap reused",
          "restores elided"], rows,
         title=f"Shared analysis context at scale {SCALE} "
               f"(identical outcomes both ways)"))

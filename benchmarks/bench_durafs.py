@@ -1,25 +1,14 @@
-"""The durable-I/O layer must be free when nothing is armed.
+"""The durable-I/O layer must be cheap when nothing is armed.
 
-Every store entry, journal append, and cache write now routes through
+Every journal append and cache write routes through
 :mod:`repro.utils.durafs`.  The layer buys injectable faults and
-centralized recovery, and it must cost essentially nothing in exchange:
-with no plan armed the gate is one ``None`` check, and even with a
-plan armed (the chaos-CI configuration) every consult is a short list
-scan.
+centralized recovery, and it must cost little in exchange: with no
+plan armed the gate is one ``None`` check.
 
-Two measurements, median of N rounds each:
-
-- **warm-store sweep**: the suite optimized against a fully warm
-  summary store, once with the production adapter (no plan — the gate
-  short-circuits) and once with a worst-case armed adapter (a fault
-  plan for an irrelevant site, so *every* gated op pays a full consult
-  that never fires).  The armed sweep must be within 2% of the plain
-  one: arming chaos in CI may not change what it measures.
-- **gated-vs-raw micro**: 1000 atomic JSON writes through durafs
-  versus a hand-rolled tmp+rename loop doing identical syscalls
-  (fsync off in both, so the constant disk cost does not drown the
-  bookkeeping being measured).  Reported for visibility; the macro
-  number above is the gate.
+**Gated-vs-raw micro**: 1000 atomic JSON writes through durafs versus
+a hand-rolled tmp+rename loop doing identical syscalls (fsync off in
+both, so the constant disk cost does not drown the bookkeeping being
+measured), median of N rounds each.
 
 Run:  pytest benchmarks/bench_durafs.py --benchmark-only -s
 """
@@ -29,76 +18,11 @@ import os
 import statistics
 import time
 
-from repro.analysis import AnalysisConfig
-from repro.benchgen.suite import benchmark_names, load_benchmark
-from repro.ir import dump_icfg, lower_program, verify_icfg
-from repro.transform import ICBEOptimizer, OptimizerOptions
 from repro.utils import durafs
-from repro.utils.durafs import Filesystem, FsFaultPlan, FsFaultSpec
 from repro.utils.tables import render_table
 
-SCALE = 4
-BUDGET = 1000
 ROUNDS = 5
 MICRO_WRITES = 1000
-MAX_OVERHEAD = 0.02          # armed sweep within 2% of the plain sweep
-
-
-def _optimize_all(store_dir, fs):
-    dumps = []
-    for name in benchmark_names():
-        icfg = lower_program(load_benchmark(name, scale=SCALE).program)
-        options = OptimizerOptions(config=AnalysisConfig(budget=BUDGET),
-                                   summary_store_dir=store_dir)
-        durafs.DEFAULT_FS = fs
-        try:
-            result = ICBEOptimizer(options).optimize(icfg)
-        finally:
-            durafs.DEFAULT_FS = Filesystem()
-        dumps.append(dump_icfg(result.optimized))
-    return dumps
-
-
-def _median_sweep_s(store_dir, fs):
-    samples = []
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        _optimize_all(store_dir, fs)
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
-
-
-def test_armed_gate_overhead_on_warm_store_sweep(tmp_path, benchmark):
-    store_dir = str(tmp_path / "store")
-    plain_fs = Filesystem()
-    # Worst case that still measures the same work: a plan is armed, so
-    # every gated op runs a full consult, but the spec can never fire.
-    armed_fs = Filesystem(FsFaultPlan(
-        [FsFaultSpec("no.such.site", "write", hit=1)]))
-
-    def sweep():
-        # Warm the store once (cold run), then measure warm sweeps.
-        cold = _optimize_all(store_dir, plain_fs)
-        plain_s = _median_sweep_s(store_dir, plain_fs)
-        armed_s = _median_sweep_s(store_dir, armed_fs)
-        warm = _optimize_all(store_dir, armed_fs)
-        assert warm == cold          # the armed gate changes nothing
-        return cold, plain_s, armed_s
-
-    cold, plain_s, armed_s = benchmark.pedantic(sweep, rounds=1,
-                                                iterations=1)
-    overhead = armed_s / plain_s - 1.0
-    print()
-    print(render_table(
-        ["sweep", "median [s]", "vs plain"],
-        [["plain gate (no plan)", round(plain_s, 3), "1.00x"],
-         ["armed gate (never fires)", round(armed_s, 3),
-          f"{armed_s / plain_s:.3f}x"]],
-        title=f"Warm-store suite sweep at scale {SCALE} "
-              f"(median of {ROUNDS}, {len(cold)} benchmarks)"))
-    assert overhead < MAX_OVERHEAD, (
-        f"armed durafs gate costs {overhead * 100:.1f}% on the warm "
-        f"sweep (budget {MAX_OVERHEAD * 100:.0f}%)")
 
 
 def _raw_atomic_write(path, payload):

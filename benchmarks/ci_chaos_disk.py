@@ -1,14 +1,10 @@
 """CI gate: deterministic disk chaos against every durable surface.
 
-Arms seeded :class:`~repro.utils.durafs.FsFaultPlan` faults — an
-ENOSPC storm, torn writes, a crash before the atomic rename — under
-the summary store, the batch journal, the batch report, and the serve
-result cache, then fails the build unless the durability contract
-holds:
+Arms seeded :class:`~repro.utils.durafs.FsFaultPlan` faults — ENOSPC,
+torn writes, a crash before the atomic rename — under the batch
+journal, the batch report, and the serve result cache, then fails the
+build unless the durability contract holds:
 
-- **store under ENOSPC storm**: optimized output byte-identical to a
-  store-off run; the health machine parks the store read-only; zero
-  entries persisted, zero exceptions;
 - **batch journal ENOSPC**: the CLI exits 2 with structured context
   (definite operator error, not a DEGRADED limp-on), and ``--resume``
   on a healed disk produces a journal and report byte-identical to an
@@ -30,22 +26,14 @@ import os
 import sys
 import tempfile
 
-from repro.analysis import AnalysisConfig
-from repro.analysis.store import HEALTH_READ_ONLY
-from repro.benchgen.suite import load_benchmark
 from repro.cli import main as icbe_main
-from repro.ir import dump_icfg, lower_program, verify_icfg
 from repro.robustness.journal import JOURNAL_NAME
 from repro.robustness.supervisor import REPORT_NAME
 from repro.serve.cache import ResultCache
-from repro.transform import ICBEOptimizer, OptimizerOptions
 from repro.utils import durafs
-from repro.utils.durafs import (Filesystem, FsFaultPlan, FsFaultSpec,
-                                SimulatedCrash)
+from repro.utils.durafs import Filesystem, FsFaultPlan, SimulatedCrash
 
-SCALE = 2
 SEED = 311
-BENCH = "li_like"
 FINGERPRINT = {"budget": 1000}
 
 PROGRAM = """
@@ -61,41 +49,6 @@ proc main() {
 """
 
 
-def _optimize(store_dir=None):
-    icfg = lower_program(load_benchmark(BENCH, scale=SCALE).program)
-    verify_icfg(icfg)
-    options = OptimizerOptions(config=AnalysisConfig(budget=1000),
-                               summary_store_dir=store_dir)
-    result = ICBEOptimizer(options).optimize(icfg)
-    verify_icfg(result.optimized)
-    return dump_icfg(result.optimized), result
-
-
-def check_store_enospc_storm(scratch, failures):
-    print(f"== store ENOSPC storm ({BENCH}@{SCALE})")
-    baseline, _ = _optimize(store_dir=None)
-    durafs.DEFAULT_FS = Filesystem(FsFaultPlan(
-        [FsFaultSpec("store.entry", "write", hit=0)]))   # every write fails
-    try:
-        sick, result = _optimize(store_dir=os.path.join(scratch, "store"))
-    finally:
-        durafs.DEFAULT_FS = Filesystem()
-    stats = result.store.snapshot() if result.store is not None else {}
-    if sick != baseline:
-        failures.append("store ENOSPC storm changed the optimized output")
-    if stats.get("health") != HEALTH_READ_ONLY:
-        failures.append(f"expected a read-only store under the storm, "
-                        f"got {stats.get('health')!r}")
-    if stats.get("stores", 0) != 0:
-        failures.append("a failing store claimed to persist entries")
-    entries = [name for name in os.listdir(os.path.join(scratch, "store"))
-               if name.endswith(".json")]
-    if entries:
-        failures.append(f"{len(entries)} entries appeared despite ENOSPC")
-    print(f"output identical to store-off; health={stats.get('health')}, "
-          f"io_errors={stats.get('io_errors')}")
-
-
 def _run_batch_cli(prog, run_dir, resume=False):
     if resume:
         return icbe_main(["batch", prog, "--resume", run_dir])
@@ -104,7 +57,7 @@ def _run_batch_cli(prog, run_dir, resume=False):
 
 
 def check_batch_journal_enospc(scratch, failures):
-    print("\n== batch journal ENOSPC mid-run, then --resume")
+    print("== batch journal ENOSPC mid-run, then --resume")
     prog = os.path.join(scratch, "prog.mc")
     with open(prog, "w", encoding="utf-8") as handle:
         handle.write(PROGRAM)
@@ -195,7 +148,6 @@ def check_cache_torn_write(scratch, failures):
 def main():
     failures = []
     with tempfile.TemporaryDirectory(prefix="icbe-ci-disk-") as scratch:
-        check_store_enospc_storm(scratch, failures)
         check_batch_journal_enospc(scratch, failures)
         check_report_crash_before_rename(scratch, failures)
         check_cache_torn_write(scratch, failures)

@@ -94,57 +94,6 @@ def measure(name: str, calibration_s: float):
     return snapshot, best_wall / calibration_s, best_wall, spans
 
 
-def measure_store(calibration_s: float):
-    """The summary-store pseudo-benchmark: a cold-then-warm analysis
-    sweep over ``li_like`` with an on-disk store.
-
-    The counters are the store's exact hit/miss/store accounting in
-    each phase — behavioural drift (a key scheme change that stops
-    hitting, an entry class that stops persisting) fails the gate even
-    when wall clock looks fine.  The suite-scale warm-over-cold speedup
-    gate lives in ``bench_parallel.py``.
-    """
-    import shutil
-    import tempfile
-    from repro.analysis import AnalysisConfig, analyze_branch
-    from repro.analysis.context import AnalysisContext
-    from repro.analysis.store import SummaryStore
-    config = AnalysisConfig(budget=BUDGET)
-    icfg = lower_program(load_benchmark("li_like", scale=SCALE).program)
-    branch_ids = sorted(b.id for b in icfg.branch_nodes())
-    best_wall = float("inf")
-    snapshot = None
-    spans = []
-    for _ in range(REPEATS):
-        root = tempfile.mkdtemp(prefix="icbe-perf-store-")
-        try:
-            with obs.suspended(), obs.session() as active:
-                started = time.perf_counter()
-                with obs.span("perf.benchmark", benchmark="summary_store",
-                              scale=SCALE):
-                    for phase in ("cold", "warm"):
-                        context = AnalysisContext()
-                        context.bind(icfg)
-                        context.attach_store(SummaryStore(root, config))
-                        with obs.span(f"store.sweep.{phase}"):
-                            for branch_id in branch_ids:
-                                analyze_branch(icfg, branch_id, config,
-                                               context=context)
-                        for key, value in (context.store.stats.snapshot()
-                                           .items()):
-                            obs.add(f"store.{phase}.{key}", value)
-                best_wall = min(best_wall, time.perf_counter() - started)
-            if (snapshot is not None
-                    and active.metrics.snapshot() != snapshot):
-                raise AssertionError(
-                    "summary_store: metrics differ between identical runs")
-            snapshot = active.metrics.snapshot()
-            spans = active.export_spans()
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    return snapshot, best_wall / calibration_s, best_wall, spans
-
-
 def run_suite(trace_path=None):
     """Measure every benchmark; optionally write the combined trace."""
     calibration_s = calibrate()
@@ -158,11 +107,6 @@ def run_suite(trace_path=None):
                          "wall_ratio": round(ratio, 3),
                          "wall_s": round(wall_s, 4)}
         tracer.adopt(spans, origin=name)
-    snapshot, ratio, wall_s, spans = measure_store(calibration_s)
-    results["summary_store"] = {"metrics": snapshot,
-                                "wall_ratio": round(ratio, 3),
-                                "wall_s": round(wall_s, 4)}
-    tracer.adopt(spans, origin="summary_store")
     if trace_path:
         from repro.obs.export import write_jsonl
         write_jsonl(trace_path, tracer.export(),

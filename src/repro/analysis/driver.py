@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.context import AnalysisContext
-from repro.analysis.engine import CachedSummaryDisposition, CorrelationEngine
+from repro.analysis.engine import CorrelationEngine
 from repro.analysis.result import CorrelationResult
 from repro.analysis.rollback import collect_answers
 from repro.errors import AnalysisError
@@ -26,9 +26,8 @@ def analyze_branch(icfg: ICFG, branch_id: int,
     the graph between analyses sharing an engine.
 
     Pass a ``context`` (an :class:`~repro.analysis.context.AnalysisContext`
-    in sync with ``icfg``) to consult and populate the cross-branch
-    summary cache: completed summary-node entries of this analysis are
-    stored for later conditionals.
+    in sync with ``icfg``) to share its interned queries and memoized
+    mod/ref summaries; the answers are the same either way.
     """
     from repro import obs
     node = icfg.nodes.get(branch_id)
@@ -45,8 +44,6 @@ def analyze_branch(icfg: ICFG, branch_id: int,
             obs.add("analysis.branches_unanalyzable")
             return CorrelationResult(icfg, branch_id, None, None)
         answers = collect_answers(engine)
-        if engine.context is not None and not engine.stats.budget_exhausted:
-            _store_summaries(engine, answers)
         span.set(pairs=engine.stats.pairs_examined,
                  budget_exhausted=engine.stats.budget_exhausted)
     obs.add("analysis.branches_analyzed")
@@ -56,26 +53,3 @@ def analyze_branch(icfg: ICFG, branch_id: int,
     return CorrelationResult(icfg, branch_id, initial, engine,
                              answers=answers, stats=engine.stats)
 
-
-def _store_summaries(engine: CorrelationEngine, answers) -> None:
-    """Populate the context's summary cache from a *completed* analysis.
-
-    Only exact entries are stored: a budget-exhausted analysis left
-    pairs unprocessed (they contributed ``{UNDEF}``), so its answer
-    sets may understate the real flows — the caller skips it entirely.
-    Entries that were themselves answered from the cache are skipped
-    (they are already stored).
-    """
-    context = engine.context
-    assert context is not None
-    for (node_id, query), answer_set in answers.items():
-        if not query.is_summary or query.summary_exit != node_id:
-            continue
-        if isinstance(engine.dispositions.get((node_id, query)),
-                      CachedSummaryDisposition):
-            continue
-        node = engine.icfg.nodes.get(node_id)
-        if node is None:
-            continue
-        context.store_summary(engine.icfg, node.proc, node_id,
-                              query.as_plain(), answer_set)

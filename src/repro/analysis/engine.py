@@ -101,20 +101,8 @@ class CallExitDisposition:
     outer_tag: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CachedSummaryDisposition:
-    """A summary-node pair answered from the cross-branch summary cache
-    of an :class:`~repro.analysis.context.AnalysisContext` instead of
-    being propagated through the callee.  The answers are exact (only
-    completed analyses populate the cache), but the callee-internal
-    pairs behind them were *not* visited by this engine — so an engine
-    holding one of these must never drive restructuring."""
-
-    answers: frozenset
-
-
 Disposition = Union[DecidedDisposition, PerEdgeDisposition,
-                    CallExitDisposition, CachedSummaryDisposition]
+                    CallExitDisposition]
 
 #: Continuation key: (call node id, surviving variant, outer summary tag).
 ContKey = Tuple[int, Query, Optional[int]]
@@ -129,10 +117,6 @@ class AnalysisStats:
     budget_exhausted: bool = False
     summary_entries_created: int = 0
     cache_hits: int = 0
-    #: Summary queries answered from the cross-branch context cache
-    #: (distinct from ``cache_hits``, the per-engine §3.3 query cache).
-    summary_cache_hits: int = 0
-    summary_cache_misses: int = 0
 
 
 class CorrelationEngine:
@@ -378,22 +362,6 @@ class CorrelationEngine:
         # Interprocedural: go through the callee via a summary query.
         summary_query = Query(inner.var, inner.relop, inner.const,
                               summary_exit=exit_id)
-        if self.context is not None:
-            # Consult the cross-branch summary cache before raising a
-            # new summary query: an earlier conditional may already
-            # have computed this callee's answers in full.
-            cached = self.context.lookup_summary(
-                self.icfg, call.callee, exit_id, summary_query.as_plain())
-            if cached is not None:
-                self.stats.summary_cache_hits += 1
-                self._install_cached_summary(exit_id, summary_query, cached)
-                self.dispositions[(node.id, query)] = CallExitDisposition(
-                    call_id=call_id, exit_id=exit_id,
-                    summary_query=summary_query,
-                    outer_tag=query.summary_exit)
-                self._register_dependent(exit_id, call, query.summary_exit)
-                return
-            self.stats.summary_cache_misses += 1
         if summary_query not in self.raised.get(exit_id, ()):
             self.stats.summary_entries_created += 1
         self._raise(exit_id, summary_query)
@@ -401,25 +369,6 @@ class CorrelationEngine:
             call_id=call_id, exit_id=exit_id, summary_query=summary_query,
             outer_tag=query.summary_exit)
         self._register_dependent(exit_id, call, query.summary_exit)
-
-    def _install_cached_summary(self, exit_id: int, summary_query: Query,
-                                answers: frozenset) -> None:
-        """Host a cached summary entry at the exit: the pair is marked
-        raised-and-resolved without visiting the callee, and its TRANS
-        variants are replayed so continuations fire for every dependent
-        call site exactly as live discovery would."""
-        queries = self.raised.setdefault(exit_id, OrderedSet())
-        if not queries.add(summary_query):
-            return  # already installed by an earlier hit
-        self.stats.queries_raised += 1
-        self.dispositions[(exit_id, summary_query)] = \
-            CachedSummaryDisposition(answers)
-        for answer in sorted(answers, key=Answer.sort_key):
-            if answer.is_trans:
-                assert answer.trans_entry is not None
-                assert answer.trans_query is not None
-                self._record_trans(exit_id, answer.trans_entry,
-                                   answer.trans_query)
 
     def _mod(self, proc: str):
         if self._mod_sets is None:

@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.analysis.answers import Answer, UNDEF
-from repro.analysis.engine import (CachedSummaryDisposition,
-                                   CallExitDisposition, CorrelationEngine,
+from repro.analysis.engine import (CallExitDisposition, CorrelationEngine,
                                    DecidedDisposition, NodeQuery,
                                    PerEdgeDisposition)
 from repro.analysis.query import Query
@@ -61,11 +60,6 @@ def collect_answers(engine: CorrelationEngine) -> AnswerMap:
             return {UNDEF}
         if isinstance(disposition, DecidedDisposition):
             return {disposition.answer}
-        if isinstance(disposition, CachedSummaryDisposition):
-            # Answered from the cross-branch summary cache: the answer
-            # set is already complete (TRANS expansion still happens at
-            # the consuming call-site exit below).
-            return set(disposition.answers)
         if isinstance(disposition, PerEdgeDisposition):
             result: Set[Answer] = set()
             for contrib in disposition.contribs:

@@ -105,10 +105,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         strict=args.strict, diff_check=args.diff_check,
         deadline_s=args.deadline, guard_growth_factor=args.guard_growth,
         diagnostics_dir=args.diagnostics,
-        analysis_cache=not args.no_analysis_cache,
-        analysis_jobs=args.analysis_jobs,
-        summary_store_dir=args.summary_store,
-        summary_store_quota=args.summary_store_quota))
+        analysis_cache=not args.no_analysis_cache))
     report = optimizer.optimize(icfg)
     print(f"conditionals optimized: {report.optimized_count} / "
           f"{report.conditionals_before}")
@@ -116,17 +113,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"({report.growth_percent:+.1f}%)")
     if not args.no_analysis_cache:
         print(f"analysis cache: {report.cache.describe()}")
-    if report.store is not None:
-        stats = report.store.snapshot()
-        print(f"summary store: {stats['hits']} hits / "
-              f"{stats['misses']} misses / {stats['stores']} stored"
-              + (f" / {stats['rejects']} rejected"
-                 if stats["rejects"] else "")
-              + (f" / {stats['evictions']} evicted"
-                 if stats["evictions"] else "")
-              + (f" / {stats['io_errors']} io errors "
-                 f"[{stats['health']}]"
-                 if stats["io_errors"] else ""))
     if report.failed_count or report.rolled_back_count:
         print(f"transactions rolled back: {report.failed_count} failed, "
               f"{report.rolled_back_count} differential")
@@ -217,10 +203,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         jobs=args.jobs, timeout_s=args.timeout, memory_mb=args.memory_mb,
         seed=args.seed, budget=args.budget, duplication_limit=args.limit,
         diff_check=not args.no_diff_check,
-        backoff_base_s=args.backoff, breaker_threshold=args.breaker,
-        analysis_jobs=args.analysis_jobs,
-        summary_store=args.summary_store,
-        summary_store_quota=args.summary_store_quota)
+        backoff_base_s=args.backoff, breaker_threshold=args.breaker)
     supervisor = BatchSupervisor(specs, run_dir, options=options,
                                  resume=args.resume is not None)
     report = supervisor.run()
@@ -259,10 +242,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         drain_grace_s=args.drain_grace, seed=args.seed,
         breaker_threshold=args.breaker, budget=args.budget,
         duplication_limit=args.limit, diff_check=not args.no_diff_check,
-        memory_mb=args.memory_mb,
-        analysis_jobs=args.analysis_jobs,
-        summary_store=args.summary_store,
-        summary_store_quota=args.summary_store_quota)
+        memory_mb=args.memory_mb)
     return run_daemon(options)
 
 
@@ -270,34 +250,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     """``icbe experiment``: run one paper experiment."""
     from repro.harness.__main__ import main as harness_main
     return harness_main([args.name])
-
-
-def _quota(text: str) -> int:
-    """argparse type for ``--summary-store-quota`` (accepts 64m, 1g...)."""
-    from repro.utils.durafs import parse_size
-    try:
-        return parse_size(text)
-    except ValueError as bad:
-        raise argparse.ArgumentTypeError(str(bad))
-
-
-def _add_analysis_scaling_flags(p: argparse.ArgumentParser) -> None:
-    """``--analysis-jobs`` / ``--summary-store[-quota]``, shared by
-    every subcommand that runs the optimizer.  All outcome-neutral:
-    reports and graphs are byte-identical at any setting."""
-    p.add_argument("--analysis-jobs", type=int, default=1, metavar="N",
-                   help="shard the correlation analysis across N worker "
-                        "processes before the (serial, deterministic) "
-                        "transform phase; 1 = no prewarm (default)")
-    p.add_argument("--summary-store", default=None, metavar="DIR",
-                   help="persist completed summary-node entries to a "
-                        "content-addressed store in DIR and reuse them "
-                        "across runs and programs")
-    p.add_argument("--summary-store-quota", type=_quota, default=None,
-                   metavar="BYTES",
-                   help="cap the summary store at this many bytes "
-                        "(suffixes k/m/g; oldest entries are evicted "
-                        "crash-safely; evictions only ever cost misses)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,11 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_p.add_argument("--diagnostics", default=None, metavar="DIR",
                             help="write a diagnostics bundle per rolled-back "
                                  "transform into DIR")
-    _add_analysis_scaling_flags(optimize_p)
     optimize_p.add_argument("--no-analysis-cache", action="store_true",
                             help="disable the shared analysis context "
-                                 "(cross-branch summary cache, memoized "
-                                 "mod/ref, incremental re-verification); "
+                                 "(analysis reuse, memoized mod/ref, "
+                                 "incremental re-verification); "
                                  "outcomes are identical, only slower")
     optimize_p.set_defaults(func=cmd_optimize)
 
@@ -438,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--inject", action="append", metavar="SPEC",
                          help="chaos drill: hang|crash|oom:JOB[:TIERS] "
                               "(repeatable; deterministic given --seed)")
-    _add_analysis_scaling_flags(batch_p)
     batch_p.set_defaults(func=cmd_batch)
 
     serve_p = add_parser(
@@ -494,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-conditional duplication limit")
     serve_p.add_argument("--no-diff-check", action="store_true",
                          help="skip per-job differential validation")
-    _add_analysis_scaling_flags(serve_p)
     serve_p.set_defaults(func=cmd_serve)
 
     exp_p = add_parser("experiment", help="run a paper experiment")

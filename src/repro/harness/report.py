@@ -286,8 +286,7 @@ def _observability_section() -> str:
     counters = active.metrics.snapshot()["counters"]
     highlight = ["analysis.branches_analyzed", "analysis.pairs_examined",
                  "transform.branches_eliminated", "transform.snapshots_taken",
-                 "transform.rollbacks", "cache.summary_hits",
-                 "cache.summary_misses", "cache.analyses_reused",
+                 "transform.rollbacks", "cache.analyses_reused",
                  "cache.queries_interned"]
     counter_lines = "\n".join(f"{name:36s} {counters[name]}"
                               for name in highlight if name in counters)
@@ -323,9 +322,9 @@ def _cache_section() -> str:
     from repro.ir import dump_icfg
     from repro.transform import ICBEOptimizer, OptimizerOptions
 
-    header = ("| benchmark | summary hits/misses | invalidated | analyses "
-              "reused | snapshots reused | restores elided | outcomes |\n"
-              "|---|---|---|---|---|---|---|")
+    header = ("| benchmark | analyses reused | snapshots reused | "
+              "restores elided | outcomes |\n"
+              "|---|---|---|---|---|")
     rows = []
     for name in benchmark_names():
         context = prepare_benchmark(name)
@@ -340,8 +339,7 @@ def _cache_section() -> str:
             and dump_icfg(cached.optimized) == dump_icfg(plain.optimized))
         stats = cached.cache
         rows.append(
-            f"| {name} | {stats.summary_hits}/{stats.summary_misses} | "
-            f"{stats.summary_invalidated} | {stats.analyses_reused} | "
+            f"| {name} | {stats.analyses_reused} | "
             f"{stats.snapshot_reuses} | {stats.restores_elided} | "
             f"{'identical' if identical else 'DIVERGED'} |")
 
@@ -349,95 +347,13 @@ def _cache_section() -> str:
 ## Analysis context — shared caches across conditionals
 
 The optimizer runs as a pass pipeline over one shared, generation-keyed
-`AnalysisContext` (see docs/ARCHITECTURE.md): cross-branch summary
-caching, memoized mod/ref, snapshot reuse, restore elision, and
+`AnalysisContext` (see docs/ARCHITECTURE.md): pre-analysis reuse,
+memoized mod/ref, snapshot reuse, restore elision, and
 dirty-procedure-scoped re-verification.  `--no-analysis-cache`
 re-derives everything per conditional; per-branch outcomes and the
 final graph are identical either way (last column compares both, here
 and in `benchmarks/bench_cache.py` at scale 8 where the shared context
 gives a >= 1.5x wall-clock speedup).
-
-{header}
-{chr(10).join(rows)}
-"""
-
-
-def _parallel_store_section() -> str:
-    """Sharded prewarm and summary-store cold/warm accounting."""
-    import shutil
-    import tempfile
-    from repro.analysis import AnalysisConfig, analyze_branch
-    from repro.analysis.context import AnalysisContext
-    from repro.analysis.store import SummaryStore
-    from repro.benchgen.suite import benchmark_names
-    from repro.harness.metrics import prepare_benchmark
-    from repro.utils import durafs
-
-    config = AnalysisConfig(budget=1000)
-
-    def sweep(icfg, root, fs=None):
-        context = AnalysisContext()
-        context.bind(icfg)
-        context.attach_store(SummaryStore(root, config, fs=fs))
-        answers = []
-        for branch_id in sorted(b.id for b in icfg.branch_nodes()):
-            result = analyze_branch(icfg, branch_id, config, context=context)
-            answers.append((branch_id, result.branch_answers))
-        return answers, context.store.stats
-
-    header = ("| benchmark | persisted | warm hits/misses | answers | "
-              "under ENOSPC |\n|---|---|---|---|---|")
-    rows = []
-    for name in benchmark_names():
-        icfg = prepare_benchmark(name).icfg
-        root = tempfile.mkdtemp(prefix="icbe-report-store-")
-        sick_root = tempfile.mkdtemp(prefix="icbe-report-sick-")
-        try:
-            cold_answers, cold_stats = sweep(icfg, root)
-            warm_answers, warm_stats = sweep(icfg, root)
-            # The durability contract: the same sweep on a store whose
-            # every entry write hits ENOSPC must produce identical
-            # answers and park the store read-only, never raise.
-            sick_fs = durafs.Filesystem(durafs.FsFaultPlan.erroring(
-                "store.entry", op="write", hit=0))
-            sick_answers, sick_stats = sweep(icfg, sick_root, fs=sick_fs)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-            shutil.rmtree(sick_root, ignore_errors=True)
-        identical = cold_answers == warm_answers and warm_stats.stores == 0
-        degraded = sick_answers == cold_answers and sick_stats.stores == 0
-        rows.append(
-            f"| {name} | {cold_stats.stores} | "
-            f"{warm_stats.hits}/{warm_stats.misses} | "
-            f"{'identical' if identical else 'DIVERGED'} | "
-            f"{'identical' if degraded else 'DIVERGED'}"
-            f" ({sick_stats.health}) |")
-
-    return f"""\
-## Parallel analysis and the persistent summary store
-
-`--analysis-jobs N` prewarms the shared context before the pipeline
-runs: branches are sharded along weak call-graph components (oversized
-components split per procedure), forked workers analyze their shards
-into private contexts, and the parent merges the completed summary
-entries back (sorted, first-import-wins) before executing the ordinary
-serial pipeline — so parallel runs stay byte-identical to serial by
-construction.  `--summary-store DIR` persists completed summary entries
-content-addressed by (callee closure body, exit, query, semantic
-config); a later run on the same program loads them instead of
-re-running the fixpoints.  The table runs the analysis sweep cold and
-then warm on the same store; warm misses are the store working as
-specified — only *completed* analyses persist (a budget-exhausted
-answer set is not exact), so truncated queries re-run every time.
-`benchmarks/bench_parallel.py` gates the warm-over-cold speedup
-(>= 1.5x over the suite at scale 8) and
-`benchmarks/ci_parallel_equivalence.py` holds serial, sharded, and
-store-backed optimizer runs to identical outcomes under `--diff-check`.
-The last column re-runs the sweep against a store whose every entry
-write fails with ENOSPC (injected via `repro.utils.durafs`): answers
-must stay identical while the health state machine parks the store
-read-only — degradation costs misses, never correctness (see
-docs/ROBUSTNESS.md, "Durability contract").
 
 {header}
 {chr(10).join(rows)}
@@ -560,7 +476,6 @@ def generate(path: str = "EXPERIMENTS.md") -> str:
     parts.append(_robustness_section())
     parts.append(_supervisor_section())
     parts.append(_cache_section())
-    parts.append(_parallel_store_section())
     parts.append(_observability_section())
 
     elapsed = time.perf_counter() - started

@@ -47,18 +47,6 @@ class EdgeKind(Enum):
 #: Edge kinds a walker follows for *intraprocedural* control flow.
 INTRA_KINDS = (EdgeKind.NORMAL, EdgeKind.TRUE, EdgeKind.FALSE)
 
-#: Process-wide source of lineage-epoch tokens (see ICFG.restore_token).
-#: Zero is reserved for "never restored".
-_restore_tokens = 0
-
-
-def next_restore_token() -> int:
-    """A fresh, process-unique lineage token for a snapshot restore."""
-    global _restore_tokens
-    _restore_tokens += 1
-    return _restore_tokens
-
-
 @dataclass(frozen=True)
 class Edge:
     """A directed edge; identity is the full (src, dst, kind) triple."""
@@ -110,20 +98,6 @@ class ICFG:
         #: name may outlive its procedure (``remove_unreachable`` can
         #: delete procs); staleness queries must tolerate that.
         self._proc_touched: Dict[str, int] = {}
-        #: Lineage epoch.  The generation counter identifies a state
-        #: *within* one mutation history, but a snapshot restore can
-        #: rewind it — after which new mutations re-use generation
-        #: numbers an earlier history already spent, and two different
-        #: graph states share one generation.  Every restore therefore
-        #: stamps a fresh, process-unique token here; equal tokens prove
-        #: equal history, so (token, generation) identifies a state
-        #: outright.  See :meth:`restored_state_matches`.
-        self.restore_token: int = 0
-        #: Where the last restore landed: the generation the snapshot
-        #: captured, and the token of the history it was taken from.
-        #: None until the graph has ever been restored into.
-        self.restored_generation: Optional[int] = None
-        self.restored_from_token: Optional[int] = None
 
     # -- mutation tracking ---------------------------------------------------
 
@@ -148,18 +122,6 @@ class ICFG:
         (including procedures deleted since then)."""
         return {name for name, gen in self._proc_touched.items()
                 if gen > generation}
-
-    def restored_state_matches(self, token: int, generation: int) -> bool:
-        """Did the last restore land exactly on state
-        ``(token, generation)``?
-
-        True when the restored snapshot was taken from the history whose
-        epoch was ``token``, at exactly ``generation`` — i.e. the graph
-        right after the restore was byte-for-byte the state a cache
-        synced at that (token, generation) pair describes, so the cache
-        may adopt the new epoch instead of discarding everything."""
-        return (self.restored_from_token == token
-                and self.restored_generation == generation)
 
     # -- construction -------------------------------------------------------
 
@@ -374,7 +336,4 @@ class ICFG:
         other._ids = self._ids.clone()
         other.generation = self.generation
         other._proc_touched = dict(self._proc_touched)
-        other.restore_token = self.restore_token
-        other.restored_generation = self.restored_generation
-        other.restored_from_token = self.restored_from_token
         return other

@@ -15,7 +15,7 @@ deterministic dictionaries too (no quantile estimation, no sampling).
 
 Naming convention: dotted lowercase paths, ``<layer>.<what>`` —
 ``analysis.pairs_examined``, ``transform.branches_eliminated``,
-``cache.summary_hits``, ``journal.fsyncs``.  The full catalog lives in
+``cache.analyses_reused``, ``journal.fsyncs``.  The full catalog lives in
 docs/OBSERVABILITY.md.
 """
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.ir.icfg import Edge, ICFG, ProcInfo, next_restore_token
+from repro.ir.icfg import Edge, ICFG, ProcInfo
 from repro.ir.nodes import Node
 
 
@@ -27,13 +27,12 @@ class ICFGSnapshot:
     """A frozen structural copy of an ICFG at one point in time."""
 
     __slots__ = ("main", "globals", "procs", "nodes", "succs", "ids",
-                 "generation", "proc_touched", "restore_token")
+                 "generation", "proc_touched")
 
     def __init__(self, main: str, globals_: Dict, procs: Dict[str, ProcInfo],
                  nodes: Dict[int, Node], succs: Dict[int, List[Edge]],
                  ids, generation: int = 0,
-                 proc_touched: Optional[Dict[str, int]] = None,
-                 restore_token: int = 0) -> None:
+                 proc_touched: Optional[Dict[str, int]] = None) -> None:
         self.main = main
         self.globals = globals_
         self.procs = procs
@@ -42,10 +41,6 @@ class ICFGSnapshot:
         self.ids = ids
         self.generation = generation
         self.proc_touched = proc_touched if proc_touched is not None else {}
-        #: Lineage epoch of the graph the snapshot was taken from; a
-        #: restore hands it to the target so caches can tell a rewind
-        #: within their own history from an arbitrary state swap.
-        self.restore_token = restore_token
 
     @classmethod
     def take(cls, icfg: ICFG) -> "ICFGSnapshot":
@@ -59,8 +54,7 @@ class ICFGSnapshot:
             succs={nid: list(edges) for nid, edges in icfg._succs.items()},
             ids=icfg._ids.clone(),
             generation=icfg.generation,
-            proc_touched=dict(icfg._proc_touched),
-            restore_token=icfg.restore_token)
+            proc_touched=dict(icfg._proc_touched))
 
     @property
     def node_count(self) -> int:
@@ -93,15 +87,7 @@ class ICFGSnapshot:
         target._ids = self.ids.clone()
         # Restore the mutation clock too: a rolled-back graph is the
         # graph the snapshot saw, so analyses cached against that
-        # generation are valid again.  But rewinding the clock lets new
-        # mutations re-spend generation numbers the abandoned history
-        # already used, so the restored graph also enters a fresh
-        # lineage epoch and records exactly where it came from — caches
-        # keyed on (epoch, generation) can then distinguish "back to the
-        # state I know" from "different state, same number".
+        # generation are valid again.
         target.generation = self.generation
         target._proc_touched = dict(self.proc_touched)
-        target.restored_from_token = self.restore_token
-        target.restored_generation = self.generation
-        target.restore_token = next_restore_token()
         return target

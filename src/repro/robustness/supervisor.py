@@ -137,16 +137,6 @@ class SupervisorOptions:
     #: isolation — fast path for property tests; hang injection and
     #: rlimits are unavailable there).
     isolation: str = "process"
-    #: Sharded analysis prewarm inside each attempt (see
-    #: :mod:`repro.analysis.parallel`).  Outcome-neutral, so it is not
-    #: part of the fingerprint — a resume may change it freely.
-    analysis_jobs: int = 1
-    #: Persistent summary store directory shared by every attempt (see
-    #: :mod:`repro.analysis.store`); outcome-neutral like the cache.
-    summary_store: Optional[str] = None
-    #: Store size cap in bytes (None = unbounded).  Eviction only ever
-    #: costs misses, so this too stays out of the fingerprint.
-    summary_store_quota: Optional[int] = None
 
     def fingerprint(self) -> dict:
         """The deterministic option set journaled in the meta record.
@@ -516,14 +506,9 @@ class BatchSupervisor:
             tmp_dir, f"attempt-{state.index}-{attempt_index}.json")
         if os.path.exists(result_path):
             os.remove(result_path)
-        # Daemonic children cannot fork grandchildren, so a worker that
-        # will run its own sharded analysis prewarm is launched
-        # non-daemonic; its SIGALRM orphan backstop still guarantees it
-        # cannot outlive a dead supervisor for long.
         process = context.Process(
             target=worker_main,
-            args=(self._attempt_spec(state), result_path),
-            daemon=self.options.analysis_jobs < 2)
+            args=(self._attempt_spec(state), result_path), daemon=True)
         process.start()
         deadline = DeadlineGuard(self.options.timeout_s).start()
         return _Running(state, process, result_path, deadline)
@@ -542,9 +527,6 @@ class BatchSupervisor:
                 "inject": state.spec.inject,
                 "faults": list(state.spec.faults),
                 "strict": state.spec.strict,
-                "analysis_jobs": opts.analysis_jobs,
-                "summary_store": opts.summary_store,
-                "summary_store_quota": opts.summary_store_quota,
                 # Workers trace only when the supervisor itself runs
                 # under an observability session (their spans get
                 # adopted back into it on collection).

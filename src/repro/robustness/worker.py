@@ -254,10 +254,6 @@ def _attempt_payload(spec: dict) -> dict:
             diff_seed=spec.get("diff_seed", 0),
             fault_plan=_fault_plan(spec))
         options.strict = bool(spec.get("strict", False))
-        options.analysis_jobs = int(spec.get("analysis_jobs") or 1)
-        options.summary_store_dir = spec.get("summary_store") or None
-        quota = spec.get("summary_store_quota")
-        options.summary_store_quota = int(quota) if quota else None
         from repro.transform import ICBEOptimizer
         report = ICBEOptimizer(options).optimize(icfg)
         verify_icfg(report.optimized)

@@ -90,18 +90,6 @@ class ServeOptions:
     memory_mb: Optional[int] = 512
     #: Per-conditional cooperative deadline inside the worker.
     conditional_deadline_s: Optional[float] = None
-    #: Sharded analysis prewarm inside each worker attempt (see
-    #: :mod:`repro.analysis.parallel`).  Outcome-neutral, so it stays
-    #: out of the fingerprint: two daemons differing only here must
-    #: share cache entries.
-    analysis_jobs: int = 1
-    #: Persistent cross-run summary store directory (see
-    #: :mod:`repro.analysis.store`); None disables persistence.
-    #: Outcome-neutral, excluded from the fingerprint.
-    summary_store: Optional[str] = None
-    #: Store size cap in bytes (None = unbounded).  Eviction costs
-    #: misses, never results — outcome-neutral, not fingerprinted.
-    summary_store_quota: Optional[int] = None
 
     def fingerprint(self) -> dict:
         """The result-shaping option subset.

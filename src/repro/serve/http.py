@@ -161,10 +161,7 @@ class HttpFrontend:
         path = split.path.rstrip("/") or "/"
         query = parse_qs(split.query)
         if path == "/healthz" and method == "GET":
-            health = {"ok": True}
-            if self.options.summary_store:
-                health["store"] = self.service.store_status()
-            await self._send_json(writer, 200, health)
+            await self._send_json(writer, 200, {"ok": True})
         elif path == "/readyz" and method == "GET":
             ready = self.service.ready
             await self._send_json(

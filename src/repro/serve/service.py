@@ -83,23 +83,11 @@ class OptimizationService:
         self._recovered_jobs = 0
         self._completed = 0
         self._tasks: List[asyncio.Task] = []
-        #: What store lifecycle maintenance did at startup (see
-        #: :func:`repro.analysis.store.lifecycle_maintenance`); empty
-        #: when no summary store is configured.
-        self.store_maintenance: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
         os.makedirs(self.options.run_dir, exist_ok=True)
-        if self.options.summary_store:
-            # The daemon owns store lifecycle: sweep crashed writers'
-            # debris, finish interrupted evictions, and enforce the
-            # quota once up front (workers attach with maintain=False).
-            from repro.analysis.store import lifecycle_maintenance
-            self.store_maintenance = lifecycle_maintenance(
-                self.options.summary_store,
-                quota_bytes=self.options.summary_store_quota)
         meta = {"seed": self.options.seed,
                 "fingerprint": self.options.fingerprint()}
         recovered = ServeJournal.recover(self.options.run_dir)
@@ -301,9 +289,6 @@ class OptimizationService:
                 "inject": job.inject,
                 "faults": [],
                 "strict": False,
-                "analysis_jobs": opts.analysis_jobs,
-                "summary_store": opts.summary_store,
-                "summary_store_quota": opts.summary_store_quota,
                 "trace": obs.enabled()}
 
     def _derived_seed(self, key: str, purpose: str) -> int:
@@ -558,7 +543,7 @@ class OptimizationService:
         return not self.draining and self.pool.live_count() > 0
 
     def describe(self) -> dict:
-        info = {
+        return {
             "ready": self.ready,
             "draining": self.draining,
             "queue": {"depth": self.queue.depth,
@@ -571,19 +556,6 @@ class OptimizationService:
             "breaker": {"open": dict(self._breaker_open),
                         "counts": dict(self._breaker)},
         }
-        if self.options.summary_store:
-            info["store"] = self.store_status()
-        return info
-
-    def store_status(self) -> dict:
-        """The summary store's current footprint and startup
-        maintenance counts (also surfaced on ``/healthz``)."""
-        from repro.analysis.store import disk_usage
-        entries, size = disk_usage(self.options.summary_store)
-        return {"dir": self.options.summary_store,
-                "quota_bytes": self.options.summary_store_quota,
-                "entries": entries, "bytes": size,
-                "maintenance": dict(self.store_maintenance)}
 
 
 def _id_number(job_id: str) -> int:

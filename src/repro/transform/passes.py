@@ -30,14 +30,12 @@ three structural shortcuts, none of which may change outcomes:
   the snapshot when the live graph actually mutated (injected
   corruption marks the graph dirty, so this is generation-checked);
 - **analysis reuse / clone elision** — the conditional is first
-  analyzed *in place* on the live graph (consulting the summary cache);
-  verdicts that cannot lead to restructuring (not analyzable, provably
-  no correlation) are recorded without ever cloning the graph.  A
-  conditional that shows correlation is restructured from a fresh,
-  cache-independent analysis — reusing the in-place analysis directly
-  when it had no cache hits and no budget truncation, re-analyzing on
-  the clone otherwise — because the splitter must see every
-  callee-internal pair, which a cache-assisted analysis skipped.
+  analyzed *in place* on the live graph; verdicts that cannot lead to
+  restructuring (not analyzable, provably no correlation) are recorded
+  without ever cloning the graph.  A conditional that shows correlation
+  is restructured from that same analysis when it ran to completion,
+  and re-analyzed otherwise, so a budget-truncated verdict is reached
+  the way the baseline reaches it.
 
 Cache-off (``OptimizerOptions.analysis_cache=False``) keeps the
 original per-branch behaviour — snapshot, clone, fresh analysis, full
@@ -276,8 +274,8 @@ class RestructurePass(Pass):
                 opts.duplication_limit, profile=state.gate_profile,
                 min_benefit_per_node=opts.min_benefit_per_node)
 
-        # Cache-assisted pre-analysis, in place on the live graph (the
-        # analysis never mutates it), consulting the summary cache.
+        # Pre-analysis, in place on the live graph (the analysis never
+        # mutates it).
         pre = analyze_branch(state.current, branch_id, opts.config,
                              context=state.context)
         base = RestructureResult(
@@ -299,19 +297,18 @@ class RestructurePass(Pass):
                 incremental_verify=True)
         if (not pre.has_correlation
                 and not pre.stats.budget_exhausted):
-            # Exact verdict (cached summaries are exact, and nothing
-            # was truncated): no correlated path exists, so no clone,
-            # no restructuring.  A truncated no-correlation verdict
-            # falls through to the fresh path instead, which applies
-            # the budget the same way the baseline does.
+            # Exact verdict (nothing was truncated): no correlated path
+            # exists, so no clone, no restructuring.  A truncated
+            # no-correlation verdict falls through to the fresh path
+            # instead, which applies the budget the same way the
+            # baseline does.
             base.outcome = BranchOutcome.NO_CORRELATION
             return base
         precomputed = None
-        if (pre.stats.summary_cache_hits == 0
-                and not pre.stats.budget_exhausted):
-            # The pre-analysis never touched the cache and ran to
-            # completion: it *is* a fresh analysis (node ids survive
-            # cloning), so restructuring can consume it directly.
+        if not pre.stats.budget_exhausted:
+            # The pre-analysis ran to completion: it *is* a fresh
+            # analysis (node ids survive cloning), so restructuring can
+            # consume it directly.
             precomputed = pre
             state.context.stats.analyses_reused += 1
         # Restructure the live graph in place: the snapshot (not a
@@ -334,15 +331,13 @@ class RestructurePass(Pass):
 class SimplifyPass(Pass):
     """End-of-run nop compaction, as its own transaction.
 
-    Nop removal rewires edges around non-operations: queries propagate
-    through nops unchanged and no assignment, call, or entry/exit is
-    touched, so both the summary cache and mod/ref summaries survive
-    the commit.  Node sets do change, so adjacency indices do not.
+    Nop removal rewires edges around non-operations: no assignment,
+    call, or entry/exit is touched, so mod/ref summaries survive the
+    commit.  Node sets do change, so adjacency indices do not.
     """
 
     name = "simplify"
-    preserves: FrozenSet[str] = frozenset({AnalysisContext.SUMMARIES,
-                                           AnalysisContext.MODREF})
+    preserves: FrozenSet[str] = frozenset({AnalysisContext.MODREF})
 
     def run(self, state: PipelineState) -> None:
         opts = state.options

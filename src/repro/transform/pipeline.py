@@ -99,27 +99,13 @@ class OptimizerOptions:
     #: (None = keep bundles in memory on the report only).
     diagnostics_dir: Optional[str] = None
     #: Share one :class:`~repro.analysis.context.AnalysisContext` across
-    #: the run: cross-branch summary caching, memoized mod/ref and
-    #: call-graph/adjacency indices, generation-gated snapshot reuse and
+    #: the run: interned queries, memoized mod/ref and adjacency
+    #: indices, pre-analysis reuse, generation-gated snapshot reuse and
     #: dirty-procedure-scoped re-verification.  ``False``
     #: (``--no-analysis-cache``) re-derives everything per conditional —
     #: the original behaviour, kept as the A/B baseline; outcomes are
     #: identical either way.
     analysis_cache: bool = True
-    #: Run a sharded multi-process analysis prewarm before the serial
-    #: pipeline (see :mod:`repro.analysis.parallel`).  Outcome-neutral:
-    #: any value produces byte-identical reports and graphs; values
-    #: above 1 only move summary computation off the critical path.
-    analysis_jobs: int = 1
-    #: Directory of a persistent, content-addressed summary store (see
-    #: :mod:`repro.analysis.store`); None keeps summaries in memory
-    #: only.  Outcome-neutral like the cache it extends.
-    summary_store_dir: Optional[str] = None
-    #: Size cap for that store in bytes (None = unbounded).  Enforced by
-    #: deterministic oldest-first eviction after each overflow; evicted
-    #: entries only ever cost future misses, so this too is
-    #: outcome-neutral.
-    summary_store_quota: Optional[int] = None
     #: Degradation-ladder hook (see :mod:`repro.robustness.degrade`):
     #: which ladder tier these options encode.  Purely descriptive here —
     #: tier *semantics* are expressed through the other fields — but the
@@ -157,12 +143,9 @@ class OptimizationReport:
     conditionals_before: int = 0
     conditionals_after: int = 0
     elapsed_seconds: float = 0.0
-    #: Analysis-context counters for the run (hits, misses,
-    #: invalidations, elided work); all zero when caching is off.
+    #: Analysis-context counters for the run (reuses, invalidations,
+    #: elided work); all zero when caching is off.
     cache: CacheStats = field(default_factory=CacheStats)
-    #: On-disk summary store counters (``repro.analysis.store.
-    #: StoreStats``), or None when no store was attached.
-    store: Optional[object] = None
     #: Degradation-ladder tier the run executed at (stamped from
     #: :attr:`OptimizerOptions.tier`; 0/"full" outside batch runs).
     tier: int = 0
@@ -241,15 +224,6 @@ class ICBEOptimizer:
 
         context = AnalysisContext(enabled=opts.analysis_cache)
         context.bind(current)
-        if opts.summary_store_dir and opts.analysis_cache:
-            from repro.analysis.store import SummaryStore
-            context.attach_store(
-                SummaryStore(opts.summary_store_dir, opts.config,
-                             quota_bytes=opts.summary_store_quota))
-        if opts.analysis_jobs > 1 and opts.analysis_cache:
-            from repro.analysis.parallel import prewarm_context
-            prewarm_context(current, opts.config, context,
-                            opts.analysis_jobs)
         gate_profile = None
         origin: Dict[int, int] = {}
         if opts.profile is not None:
@@ -270,8 +244,6 @@ class ICBEOptimizer:
 
         report.optimized = current
         report.cache = context.stats
-        if context.store is not None:
-            report.store = context.store.stats
         report.nodes_after = current.node_count()
         report.executable_after = current.executable_node_count()
         report.conditionals_after = current.conditional_node_count()
@@ -297,13 +269,6 @@ class ICBEOptimizer:
         obs.gauge("optimize.nodes_after", report.nodes_after)
         obs.gauge("optimize.node_growth", report.node_growth)
         report.cache.publish()
-        if report.store is not None:
-            from repro.analysis.store import HEALTH_RANK
-            for name, value in report.store.snapshot().items():
-                if name == "health":
-                    obs.gauge("store.health", HEALTH_RANK.get(value, 0))
-                elif isinstance(value, (int, float)):
-                    obs.add(f"store.{name}", value)
 
     # -- transactional phases ------------------------------------------------
 

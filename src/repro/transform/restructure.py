@@ -93,10 +93,8 @@ def restructure_branch(icfg: ICFG, branch_id: int,
 
     ``precomputed`` hands in a finished analysis of ``icfg`` itself
     (same node ids as the working clone) instead of re-analyzing; it
-    must be complete (not budget-truncated) and cache-independent —
-    the splitter walks every pair the engine visited, so an analysis
-    that short-circuited callees through a summary cache cannot drive
-    restructuring.  ``incremental_verify`` scopes the post-transform
+    must be complete (not budget-truncated), because the splitter
+    walks every pair the engine visited.  ``incremental_verify`` scopes the post-transform
     verification to the procedures the transform actually dirtied
     (sound because out-of-band corruption marks everything dirty).
     ``in_place`` mutates ``icfg`` itself instead of a clone: the caller

@@ -1,8 +1,8 @@
 """The durable-I/O layer: every byte this package persists goes here.
 
-Before this module existed, each durable surface — the summary store,
-the batch and serve journals, the serve result cache, the telemetry
-sidecar, diagnostics bundles — hand-rolled its own tmp+fsync+rename,
+Before this module existed, each durable surface — the batch and
+serve journals, the serve result cache, the telemetry sidecar,
+diagnostics bundles — hand-rolled its own tmp+fsync+rename,
 swallowed write-side ``OSError`` in ad-hoc ways, and leaked orphaned
 ``*.tmp.<pid>`` files whenever a writer crashed between the write and
 the rename.  None of those recovery paths could be tested, because the
@@ -19,16 +19,12 @@ This module centralizes the discipline and makes it injectable:
   entry is simply not persisted) and returns ``False``.
 - :class:`AppendFile` — the journal discipline: every append is
   write+flush+fsync before the caller may act on the record.
-- :func:`safe_scan` — defensive directory listing (errors read as
-  empty, sorted for determinism).
 - :func:`sweep_orphans` — reclaim crashed writers' temp files.  The
   ``.tmp.<pid>`` suffix is *not* trusted as ownership (PIDs are
   recycled, so "is that pid alive?" can hold a fresh process hostage
   for a dead one's garbage); instead any temp file older than
   ``ttl_s`` is fair game — a live writer holds its temp file for
-  milliseconds, never an hour.  ``*.evict`` markers (phase one of the
-  store's two-phase delete) are reclaimed unconditionally: the rename
-  already removed them from the readable namespace.
+  milliseconds, never an hour.
 
 All of it routes through an injectable :class:`Filesystem` adapter.  A
 deterministic :class:`FsFaultPlan` (same idiom as the seeded
@@ -38,7 +34,7 @@ counts, fires once) arms errno-carrying faults at named I/O sites —
 that persists only the first N bytes, a crash before the rename, an
 fsync that lies — so tests can simulate a crash at *every* fault point
 of every durable surface and prove the recovery invariants: journals
-replay byte-identically, stores and caches read "miss, never wrong".
+replay byte-identically, caches read "miss, never wrong".
 
 Observability counters (all deterministic given the fault plan):
 ``fsio.writes``, ``fsio.appends``, ``fsio.write_errors``,
@@ -463,22 +459,8 @@ class AppendFile:
 
 
 # ---------------------------------------------------------------------------
-# Defensive scans and orphan reclamation.
+# Orphan reclamation.
 # ---------------------------------------------------------------------------
-
-
-def safe_scan(directory: str, *, site: str,
-              fs: Optional[Filesystem] = None,
-              suffix: Optional[str] = None) -> List[str]:
-    """Sorted directory listing; unreadable directories read as empty."""
-    fs = resolve_fs(fs)
-    try:
-        names = fs.listdir(directory, site)
-    except OSError:
-        return []
-    if suffix is not None:
-        names = [name for name in names if name.endswith(suffix)]
-    return sorted(names)
 
 
 def sweep_orphans(directory: str, *, site: str,
@@ -489,9 +471,7 @@ def sweep_orphans(directory: str, *, site: str,
 
     Removes ``*.tmp.<pid>`` files older than ``ttl_s`` (age-based on
     purpose: PID reuse makes the pid suffix unsafe as ownership — a
-    recycled pid would pin a dead writer's garbage forever) and every
-    ``*.evict`` marker regardless of age (phase one of a two-phase
-    delete already unlinked the entry from its readable name).  Counted
+    recycled pid would pin a dead writer's garbage forever).  Counted
     as ``fsio.orphans_swept``; returns the number removed.
     """
     fs = resolve_fs(fs)
@@ -503,14 +483,11 @@ def sweep_orphans(directory: str, *, site: str,
         now = time.time()
     swept = 0
     for name in sorted(names):
-        is_tmp = ".tmp." in name
-        is_evict = name.endswith(".evict")
-        if not (is_tmp or is_evict):
+        if ".tmp." not in name:
             continue
         path = os.path.join(directory, name)
         try:
-            if is_tmp and not is_evict \
-                    and now - fs.stat(path).st_mtime < ttl_s:
+            if now - fs.stat(path).st_mtime < ttl_s:
                 continue           # possibly a live writer: leave it
             fs.remove(path, site)
         except OSError:
@@ -520,20 +497,3 @@ def sweep_orphans(directory: str, *, site: str,
         obs.add("fsio.orphans_swept", swept)
     return swept
 
-
-def parse_size(text: str) -> int:
-    """``'64m'``/``'1g'``/``'4096'`` -> bytes (k/m/g suffixes, base 1024)."""
-    raw = str(text).strip().lower()
-    factor = 1
-    for suffix, mult in (("k", 1024), ("m", 1024 ** 2), ("g", 1024 ** 3)):
-        if raw.endswith(suffix):
-            raw, factor = raw[:-1], mult
-            break
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"unparseable size {text!r} "
-                         f"(expected bytes or k/m/g suffix)") from None
-    if value < 0:
-        raise ValueError(f"negative size {text!r}")
-    return value * factor

@@ -4,10 +4,10 @@ from tests.helpers import build
 
 from repro.analysis import AnalysisConfig, analyze_branch
 from repro.analysis.context import AnalysisContext
-from repro.analysis.facts import ValueSet
 from repro.analysis.query import Query
-from repro.ir.expr import VarId
-from repro.ir.nodes import NopNode
+from repro.ir.expr import Const, VarId
+from repro.ir.nodes import BranchNode, NopNode
+from repro.robustness.snapshot import ICFGSnapshot
 
 CONFIG = AnalysisConfig(budget=100_000)
 
@@ -48,93 +48,69 @@ def test_interning_returns_the_canonical_instance():
     b = Query(VarId(None, "err"), "==", 1)
     assert a is not b
     assert context.intern_query(a) is context.intern_query(b) is a
-    va = ValueSet.from_relop("==", 1)
-    assert (context.intern_value_set(va)
-            is context.intern_value_set(ValueSet.from_relop("==", 1)))
 
 
-def test_second_branch_hits_the_summary_cache():
+def test_context_assisted_analysis_matches_a_fresh_one():
+    """The context shares interned queries and memos only: every branch
+    examines exactly the pairs, and reaches exactly the answers, of a
+    context-free analysis."""
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    branches = main_branches(icfg)
-    first = analyze_branch(icfg, branches[0], CONFIG, context=context)
-    assert first.stats.summary_cache_hits == 0
-    assert context.summary_count() > 0
-    second = analyze_branch(icfg, branches[1], CONFIG, context=context)
-    assert second.stats.summary_cache_hits > 0
-    # And the cached run agrees exactly with a cache-free one.
-    fresh = analyze_branch(icfg, branches[1], CONFIG)
-    assert second.branch_answers == fresh.branch_answers
-
-
-def test_cached_analysis_examines_fewer_pairs():
-    icfg = build(SOURCE)
-    context = bound_context(icfg)
-    branches = main_branches(icfg)
-    analyze_branch(icfg, branches[0], CONFIG, context=context)
-    cached = analyze_branch(icfg, branches[1], CONFIG, context=context)
-    fresh = analyze_branch(icfg, branches[1], CONFIG)
-    assert cached.stats.pairs_examined < fresh.stats.pairs_examined
+    for branch in main_branches(icfg):
+        shared = analyze_branch(icfg, branch, CONFIG, context=context)
+        fresh = analyze_branch(icfg, branch, CONFIG)
+        assert shared.branch_answers == fresh.branch_answers
+        assert shared.stats.pairs_examined == fresh.stats.pairs_examined
 
 
 def test_commit_with_clean_graph_invalidates_nothing():
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
-    stored = context.summary_count()
+    ids = context.branch_ids(icfg)
     context.commit(icfg)
-    assert context.summary_count() == stored
+    assert context.branch_ids(icfg) is ids
+    assert context.stats.index_invalidated == 0
     assert context.in_sync(icfg)
 
 
 def test_commit_invalidates_summaries_reaching_dirty_procs():
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
-    assert context.summary_count() > 0
-    # Dirty the innermost callee: every summary's closure reaches it
-    # (wrapper -> may_fail), so everything is dropped.
+    mods = context.mod_sets(icfg)
+    ids = context.branch_ids(icfg)
+    # Dirty the innermost callee: MOD is a whole-program fixpoint, so
+    # the mod/ref summaries go, and so does the branch index.
     icfg.add_node(NopNode(icfg.new_id(), "may_fail"))
     context.commit(icfg)
-    assert context.summary_count() == 0
-    assert context.stats.summary_invalidated > 0
+    assert context.stats.modref_invalidated == 1
+    assert context.stats.index_invalidated == 1
     assert context.in_sync(icfg)
-
-
-def test_commit_keeps_summaries_of_untouched_closures():
-    icfg = build(SOURCE)
-    context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
-    stored = context.summary_count()
-    assert stored > 0
-    # main is no summary's dependency (summaries live in callees).
-    icfg.add_node(NopNode(icfg.new_id(), "main"))
-    context.commit(icfg)
-    assert context.summary_count() == stored
+    assert context.mod_sets(icfg) is not mods
+    assert context.branch_ids(icfg) is not ids
 
 
 def test_preserved_summaries_survive_a_dirtying_commit():
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
-    stored = context.summary_count()
+    mods = context.mod_sets(icfg)
     icfg.add_node(NopNode(icfg.new_id(), "may_fail"))
-    context.commit(icfg, preserves=frozenset({AnalysisContext.SUMMARIES}))
-    assert context.summary_count() == stored
+    context.commit(icfg, preserves=frozenset({AnalysisContext.MODREF}))
+    assert context.mod_sets(icfg) is mods
+    assert context.stats.modref_invalidated == 0
 
 
 def test_out_of_sync_context_stands_aside():
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
+    ids = context.branch_ids(icfg)
     icfg.add_node(NopNode(icfg.new_id(), "main"))  # no commit
     assert not context.in_sync(icfg)
-    q = Query(VarId(None, "err"), "==", 1)
-    assert context.lookup_summary(icfg, "wrapper", 0, q) is None
-    # And an analysis given the stale context simply runs uncached.
+    assert context.branch_ids(icfg) is not ids
+    assert context.stats.index_reuses == 0
+    # And an analysis given the stale context simply runs without it.
     result = analyze_branch(icfg, main_branches(icfg)[1], CONFIG,
                             context=context)
-    assert result.stats.summary_cache_hits == 0
+    assert result.engine.context is None
 
 
 def test_disabled_context_never_syncs():
@@ -147,22 +123,39 @@ def test_disabled_context_never_syncs():
 def test_rollback_to_the_cached_generation_keeps_everything():
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    analyze_branch(icfg, main_branches(icfg)[0], CONFIG, context=context)
-    stored = context.summary_count()
+    ids = context.branch_ids(icfg)
     context.rollback(icfg)  # generation unchanged
-    assert context.summary_count() == stored
+    assert context.branch_ids(icfg) is ids
     assert context.in_sync(icfg)
 
 
-def test_memoized_mod_sets_and_call_graph_count_reuses():
+def test_restore_onto_a_foreign_generation_rebinds():
+    """Restoring a snapshot from *before* the cached state (a different
+    generation) must resynchronise rather than trust an index built for
+    a graph the restored one is not."""
+    icfg = build(SOURCE)
+    context = bound_context(icfg)
+    snapshot = ICFGSnapshot.take(icfg)
+    icfg.add_node(BranchNode(icfg.new_id(), "may_fail", Const(1)))
+    context.commit(icfg)         # cache now ahead of the snapshot
+    ahead = context.branch_ids(icfg)
+
+    snapshot.restore(into=icfg)
+    context.rollback(icfg)
+
+    assert context.in_sync(icfg)
+    assert context.branch_ids(icfg) == sorted(
+        b.id for b in icfg.branch_nodes())
+    assert context.branch_ids(icfg) != ahead
+
+
+def test_memoized_mod_sets_count_reuses():
     icfg = build(SOURCE)
     context = bound_context(icfg)
     first = context.mod_sets(icfg)
     assert context.mod_sets(icfg) is first
-    graph = context.callees_of(icfg)
-    assert context.callees_of(icfg) is graph
-    assert "may_fail" in graph["wrapper"]
-    assert context.stats.modref_reuses >= 2
+    assert VarId(None, "err") in first["wrapper"]
+    assert context.stats.modref_reuses == 1
 
 
 def test_branch_index_is_cached_and_sorted():

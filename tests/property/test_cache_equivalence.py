@@ -1,15 +1,15 @@
 """Cache-on/cache-off equivalence of the optimizer, property-style.
 
-The shared analysis context (summary cache, snapshot reuse, restore
-elision, in-place restructuring, scoped re-verification) is a pure
+The shared analysis context (pre-analysis reuse, snapshot reuse,
+restore elision, in-place restructuring, scoped re-verification) is a pure
 optimization: for any program, per-branch outcomes and the final graph
 must be byte-identical to a `--no-analysis-cache` run.  Hypothesis
 hammers that over random generated programs — fault-free and under
 random fault plans.
 
 Fault-plan scope: raising faults may target any site except
-``analysis:pair`` (the cache changes how many node-query pairs an
-analysis examines, so per-pair hit counts differ *by design*; outcomes
+``analysis:pair`` (the cached mode analyzes a budget-truncated
+conditional twice, so per-pair hit counts differ *by design*; outcomes
 still agree, as the fault-free property shows).  Corruption faults may
 target the transform and simplify sites: injected corruption marks the
 whole graph dirty, so the cached mode's scoped verification degenerates

@@ -7,7 +7,7 @@ restarted process would and asserts the durability contract:
 
 - journals (batch and serve) replay **byte-identically** to an
   uninterrupted run;
-- the store and the result cache read as *miss, never wrong*;
+- the result cache reads as *miss, never wrong*;
 - a journal write failure is a *definite* operator error (structured
   errno/path context, CLI exit 2) that never poisons ``--resume``.
 """
@@ -17,8 +17,6 @@ import os
 
 import pytest
 
-from repro.analysis import AnalysisConfig
-from repro.analysis.store import SummaryStore
 from repro.cli import main
 from repro.errors import ServeError, SupervisorError
 from repro.robustness.degrade import Attempt, JobOutcome
@@ -30,8 +28,6 @@ from repro.serve.journal import ServeJournal
 from repro.utils import durafs
 from repro.utils.durafs import (Filesystem, FsFaultPlan, FsFaultSpec,
                                 SimulatedCrash)
-
-CONFIG = AnalysisConfig(budget=100_000)
 
 #: Anything a dying surface may legitimately raise: the wrapped
 #: operator error, a raw OSError from a constructor, or the simulated
@@ -211,36 +207,8 @@ def test_serve_journal_replays_byte_identically(tmp_path, fault):
 
 
 # ---------------------------------------------------------------------------
-# The summary store and the result cache: miss, never wrong.
+# The result cache: miss, never wrong.
 # ---------------------------------------------------------------------------
-
-STORE_FAULTS = [
-    FsFaultSpec("store.entry", op, hit=1, action=action)
-    for op in ("open", "write", "fsync", "rename")
-    for action in ("errno", "crash")
-] + [FsFaultSpec("store.entry", "write", hit=1, action="torn",
-                 keep_bytes=9),
-     FsFaultSpec("store.entry", "fsync", hit=1, action="lying-fsync")]
-
-
-@pytest.mark.parametrize("fault", STORE_FAULTS, ids=_spec_id)
-def test_store_save_faults_read_as_miss_never_wrong(tmp_path, fault):
-    root = str(tmp_path / "store")
-    payload = [{"kind": "true"}]
-    sick = SummaryStore(root, CONFIG, fs=Filesystem(FsFaultPlan([fault])))
-    try:
-        sick.save("somekey", payload)
-    except SimulatedCrash:
-        pass                     # the process died; debris may remain
-    # A later process on a healthy disk: the entry either round-trips
-    # exactly or reads as a miss — never garbage, never an exception.
-    fresh = SummaryStore(root, CONFIG)
-    assert fresh.load("somekey") in (None, payload)
-    assert fresh.stats.rejects == 0
-    # And the surface still works: a clean save round-trips.
-    fresh.save("somekey", payload)
-    assert fresh.load("somekey") == payload
-
 
 CACHE_FAULTS = [
     FsFaultSpec("serve.cache", op, hit=1, action=action)

@@ -4,7 +4,8 @@ from tests.helpers import build
 
 from repro.analysis import AnalysisConfig
 from repro.analysis.context import AnalysisContext
-from repro.ir import dump_icfg, verify_icfg
+from repro.benchgen.suite import load_benchmark
+from repro.ir import dump_icfg, lower_program, verify_icfg
 from repro.transform import ICBEOptimizer, OptimizerOptions
 from repro.transform.passes import (FinalValidatePass, PassManager,
                                     RestructurePass, SimplifyPass,
@@ -42,19 +43,25 @@ def test_default_pipeline_has_the_three_passes_in_order():
 
 def test_pass_preservation_declarations():
     assert RestructurePass.preserves == frozenset()
-    assert SimplifyPass.preserves == frozenset(
-        {AnalysisContext.SUMMARIES, AnalysisContext.MODREF})
+    assert SimplifyPass.preserves == frozenset({AnalysisContext.MODREF})
     assert FinalValidatePass.preserves == AnalysisContext.ALL
 
 
 def test_cache_on_and_off_agree_exactly():
-    icfg = build(SOURCE)
-    cached = run(icfg, analysis_cache=True)
-    plain = run(icfg, analysis_cache=False)
-    assert ([(r.branch_id, r.outcome) for r in cached.records]
-            == [(r.branch_id, r.outcome) for r in plain.records])
-    assert dump_icfg(cached.optimized) == dump_icfg(plain.optimized)
-    verify_icfg(cached.optimized)
+    # compress_like@2 under the default analysis budget truncates some
+    # conditionals, so it also pins the per-record analysis cost.
+    cases = [(build(SOURCE), {}),
+             (lower_program(load_benchmark("compress_like", 2).program),
+              {"config": AnalysisConfig(), "duplication_limit": 100})]
+    for icfg, options in cases:
+        cached = run(icfg, analysis_cache=True, **options)
+        plain = run(icfg, analysis_cache=False, **options)
+        assert ([(r.branch_id, r.outcome, r.pairs_examined,
+                  r.budget_exhausted) for r in cached.records]
+                == [(r.branch_id, r.outcome, r.pairs_examined,
+                     r.budget_exhausted) for r in plain.records])
+        assert dump_icfg(cached.optimized) == dump_icfg(plain.optimized)
+        verify_icfg(cached.optimized)
 
 
 def test_cached_run_reports_cache_activity():
@@ -63,7 +70,6 @@ def test_cached_run_reports_cache_activity():
     stats = report.cache
     assert stats.commits >= report.optimized_count
     assert stats.analyses_reused > 0
-    assert stats.summary_lookups == stats.summary_hits + stats.summary_misses
     # Fruitless transactions never copy the graph back.
     fruitless = len(report.records) - report.optimized_count
     assert stats.restores_elided == fruitless
@@ -73,7 +79,6 @@ def test_uncached_run_reports_zero_cache_activity():
     icfg = build(SOURCE)
     report = run(icfg, analysis_cache=False)
     stats = report.cache
-    assert stats.summary_lookups == 0
     assert stats.analyses_reused == 0
     assert stats.snapshot_reuses == 0
     assert stats.restores_elided == 0
@@ -89,12 +94,16 @@ def test_input_graph_is_never_mutated_despite_in_place_transactions():
 
 
 def test_simplify_commit_preserves_summaries():
-    """Nop compaction's commit must not cost the summary cache (it
-    declares SUMMARIES preserved), even though it dirties procedures."""
+    """Nop compaction's commit must not cost the mod/ref summaries (it
+    declares MODREF preserved), even though it dirties procedures."""
     icfg = build(SOURCE)
-    report = run(icfg, analysis_cache=True, duplication_limit=0)
+    # Intraprocedural mode is the one that consults mod/ref.
+    report = run(icfg, analysis_cache=True, duplication_limit=0,
+                 config=AnalysisConfig(budget=100_000,
+                                       interprocedural=False))
     # With splitting gated off entirely, nothing dirties the graph
-    # before simplify, and simplify's own commit preserves summaries:
-    # no summary is ever invalidated across the run.
-    assert report.cache.summary_invalidated == 0
+    # before simplify, and simplify's own commit preserves mod/ref: it
+    # is never invalidated across the run, while the branch index is.
+    assert report.cache.modref_invalidated == 0
+    assert report.cache.index_invalidated == 1
     assert report.optimized_count == 0

@@ -11,16 +11,15 @@ from repro.utils import durafs
 from repro.utils.durafs import (AppendFile, Filesystem, FsFaultPlan,
                                 FsFaultSpec, SimulatedCrash,
                                 atomic_write_bytes, atomic_write_json,
-                                atomic_write_text, parse_size, safe_scan,
-                                sweep_orphans)
+                                atomic_write_text, sweep_orphans)
 
 SITE = "test.site"
 
 
 def _no_debris(directory):
-    """No temp files or evict markers survive outside a crash."""
+    """No temp files survive outside a crash."""
     return [name for name in os.listdir(directory)
-            if ".tmp." in name or name.endswith(".evict")] == []
+            if ".tmp." in name] == []
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +59,6 @@ def test_append_file_accumulates_and_survives_reopen(tmp_path):
     fresh = AppendFile(path, site=SITE, fresh=True)   # truncates
     fresh.close()
     assert open(path, encoding="utf-8").read() == ""
-
-
-def test_safe_scan_sorts_filters_and_never_raises(tmp_path):
-    for name in ("b.json", "a.json", "c.txt"):
-        (tmp_path / name).write_text("x")
-    assert safe_scan(str(tmp_path), site=SITE) == ["a.json", "b.json",
-                                                   "c.txt"]
-    assert safe_scan(str(tmp_path), site=SITE,
-                     suffix=".json") == ["a.json", "b.json"]
-    assert safe_scan(str(tmp_path / "missing"), site=SITE) == []
 
 
 def test_obs_counters_track_writes_and_appends(tmp_path):
@@ -239,24 +228,14 @@ def test_sweep_respects_the_ttl(tmp_path):
     assert fresh.exists() and not stale.exists()
 
 
-def test_sweep_reclaims_evict_markers_unconditionally(tmp_path):
-    marker = tmp_path / "deadbeef.evict"
-    entry = tmp_path / "cafef00d.json"
-    marker.write_text("half-evicted")
-    entry.write_text("live entry")
-    # now == mtime: zero age, yet the marker goes (phase one of the
-    # two-phase delete already unlinked it from its readable name).
-    swept = sweep_orphans(str(tmp_path), site=SITE,
-                          now=os.stat(str(marker)).st_mtime)
-    assert swept == 1
-    assert not marker.exists() and entry.exists()
-
-
 def test_sweep_counts_in_obs(tmp_path):
-    (tmp_path / "a.evict").write_text("x")
-    (tmp_path / "b.evict").write_text("x")
+    stale = 1_000_000.0
+    for name in ("a.json.tmp.1", "b.json.tmp.2"):
+        (tmp_path / name).write_text("x")
+        os.utime(str(tmp_path / name), (stale, stale))
     with obs.session() as active:
-        assert sweep_orphans(str(tmp_path), site=SITE) == 2
+        assert sweep_orphans(str(tmp_path), site=SITE,
+                             now=stale + durafs.ORPHAN_TTL_S + 1) == 2
         counters = active.metrics.snapshot()["counters"]
     assert counters["fsio.orphans_swept"] == 2
 
@@ -264,21 +243,3 @@ def test_sweep_counts_in_obs(tmp_path):
 def test_sweep_of_a_missing_directory_is_zero(tmp_path):
     assert sweep_orphans(str(tmp_path / "nope"), site=SITE) == 0
 
-
-# ---------------------------------------------------------------------------
-# parse_size.
-# ---------------------------------------------------------------------------
-
-
-def test_parse_size_suffixes():
-    assert parse_size("4096") == 4096
-    assert parse_size("64k") == 64 * 1024
-    assert parse_size("64M") == 64 * 1024 ** 2
-    assert parse_size(" 1g ") == 1024 ** 3
-    assert parse_size("0") == 0
-
-
-@pytest.mark.parametrize("bad", ["", "lots", "12q", "-5", "1.5m"])
-def test_parse_size_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_size(bad)
