@@ -2,9 +2,9 @@
 
 The optimizer's pass pipeline shares one generation-keyed
 `AnalysisContext` across conditionals (pre-analysis reuse, interned
-queries, memoized mod/ref and indices, snapshot reuse, restore elision,
-in-place restructuring under snapshot protection, and
-dirty-procedure-scoped re-verification).  `--no-analysis-cache` recovers the original
+queries, memoized mod/ref and indices, in-place restructuring under the
+graph's undo log, and edit-frontier re-verification).
+`--no-analysis-cache` recovers the original
 derive-everything-per-conditional behaviour.
 
 This bench runs the scale-8 tier (thousands of ICFG nodes per program)
@@ -63,8 +63,8 @@ def measure(name):
         "optimized": cached.optimized_count,
         "records": len(cached.records),
         "reused": cached.cache.analyses_reused,
-        "snap_reuse": cached.cache.snapshot_reuses,
-        "elided": cached.cache.restores_elided,
+        "commits": cached.cache.commits,
+        "rollbacks": cached.cache.rollbacks,
     }
 
 
@@ -76,7 +76,7 @@ def test_cache_speedup_at_scale(benchmark):
     rows = [[name, r["records"], r["optimized"],
              round(r["cached_s"], 2), round(r["plain_s"], 2),
              round(r["plain_s"] / r["cached_s"], 2), r["reused"],
-             r["snap_reuse"], r["elided"]]
+             r["commits"], r["rollbacks"]]
             for name, r in results.items()]
     cached_total = sum(r["cached_s"] for r in results.values())
     plain_total = sum(r["plain_s"] for r in results.values())
@@ -86,8 +86,7 @@ def test_cache_speedup_at_scale(benchmark):
     print()
     print(render_table(
         ["benchmark (x8)", "conds", "opt", "cache [s]", "no-cache [s]",
-         "speedup", "analyses reused", "snap reused",
-         "restores elided"], rows,
+         "speedup", "analyses reused", "commits", "rollbacks"], rows,
         title=f"Shared analysis context at scale {SCALE} "
               f"(identical outcomes both ways)"))
     assert speedup >= MIN_SUITE_SPEEDUP, (

@@ -30,9 +30,9 @@ conditional's analysis runs from scratch.
 
 Lifecycle: the pass manager calls :meth:`commit` after a transaction's
 result is adopted — only then do dirty procedures invalidate entries —
-and :meth:`rollback` after a restore, which invalidates *nothing*
-because the pipeline only restores snapshots taken at the context's
-generation, and restoring one also restores that generation.  A
+and :meth:`rollback` after rolling a transaction back, which
+invalidates *nothing* because every transaction begins at the
+context's generation, and rolling back restores that generation.  A
 context whose generation disagrees with the graph's simply stands
 aside (:meth:`in_sync` is False and every memo recomputes), so a
 desynchronised cache can cause a slow path but never a wrong one.
@@ -58,8 +58,6 @@ class CacheStats:
     modref_invalidated: int = 0
     index_reuses: int = 0
     index_invalidated: int = 0
-    snapshot_reuses: int = 0
-    restores_elided: int = 0
     analyses_reused: int = 0
     commits: int = 0
     rollbacks: int = 0
@@ -68,7 +66,8 @@ class CacheStats:
     # Read by the benchmark's span hook (perfbench/hook/
     # perfbench_spans.py), which drops every attribute of the
     # ``transform.optimize`` span when one is missing.  There is no
-    # cross-branch summary cache, so both are always zero; they are
+    # cross-branch summary cache and no snapshot to reuse (transactions
+    # roll back an undo log), so all three are always zero; they are
     # properties, not fields, so :meth:`publish` does not emit them.
     @property
     def summary_hits(self) -> int:
@@ -76,6 +75,10 @@ class CacheStats:
 
     @property
     def summary_misses(self) -> int:
+        return 0
+
+    @property
+    def snapshot_reuses(self) -> int:
         return 0
 
     def publish(self, prefix: str = "cache.") -> None:
@@ -89,8 +92,7 @@ class CacheStats:
 
     def describe(self) -> str:
         return (f"{self.analyses_reused} analyses reused, "
-                f"{self.snapshot_reuses} snapshots reused, "
-                f"{self.restores_elided} restores elided")
+                f"{self.commits} commits, {self.rollbacks} rollbacks")
 
 
 class AnalysisContext:
@@ -152,15 +154,15 @@ class AnalysisContext:
             self._branch_ids = None
 
     def rollback(self, icfg: ICFG) -> None:
-        """A transaction was rolled back.  Restoring a snapshot also
-        restores the generation, so cached facts are valid again and
-        nothing is invalidated."""
+        """A transaction was rolled back.  The rollback also restores
+        the generation, so cached facts are valid again and nothing is
+        invalidated."""
         if not self.enabled:
             return
         self.stats.rollbacks += 1
         if self.generation is not None and icfg.generation != self.generation:
-            # The restore did not land on the cached generation (an
-            # out-of-lineage graph was swapped in): resynchronise.
+            # The rollback did not land on the cached generation (it
+            # reached back past this context's last commit): resync.
             self.bind(icfg)
 
     # -- interning -----------------------------------------------------------

@@ -285,9 +285,9 @@ def _observability_section() -> str:
     profile = active.render_profile(limit=12)
     counters = active.metrics.snapshot()["counters"]
     highlight = ["analysis.branches_analyzed", "analysis.pairs_examined",
-                 "transform.branches_eliminated", "transform.snapshots_taken",
-                 "transform.rollbacks", "cache.analyses_reused",
-                 "cache.queries_interned"]
+                 "transform.branches_eliminated", "transform.undo_records",
+                 "transform.rollbacks", "verify.nodes_checked",
+                 "cache.analyses_reused", "cache.queries_interned"]
     counter_lines = "\n".join(f"{name:36s} {counters[name]}"
                               for name in highlight if name in counters)
 
@@ -322,8 +322,8 @@ def _cache_section() -> str:
     from repro.ir import dump_icfg
     from repro.transform import ICBEOptimizer, OptimizerOptions
 
-    header = ("| benchmark | analyses reused | snapshots reused | "
-              "restores elided | outcomes |\n"
+    header = ("| benchmark | analyses reused | commits | rollbacks | "
+              "outcomes |\n"
               "|---|---|---|---|---|")
     rows = []
     for name in benchmark_names():
@@ -340,7 +340,7 @@ def _cache_section() -> str:
         stats = cached.cache
         rows.append(
             f"| {name} | {stats.analyses_reused} | "
-            f"{stats.snapshot_reuses} | {stats.restores_elided} | "
+            f"{stats.commits} | {stats.rollbacks} | "
             f"{'identical' if identical else 'DIVERGED'} |")
 
     return f"""\
@@ -348,8 +348,8 @@ def _cache_section() -> str:
 
 The optimizer runs as a pass pipeline over one shared, generation-keyed
 `AnalysisContext` (see docs/ARCHITECTURE.md): pre-analysis reuse,
-memoized mod/ref, snapshot reuse, restore elision, and
-dirty-procedure-scoped re-verification.  `--no-analysis-cache`
+memoized mod/ref, in-place restructuring under the graph's undo log,
+and edit-frontier re-verification.  `--no-analysis-cache`
 re-derives everything per conditional; per-branch outcomes and the
 final graph are identical either way (last column compares both, here
 and in `benchmarks/bench_cache.py` at scale 8 where the shared context

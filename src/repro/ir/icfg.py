@@ -13,7 +13,11 @@ Procedures may own multiple entry and exit nodes — that is the whole
 point of entry/exit splitting — so :class:`ProcInfo` tracks lists.
 
 The graph owns all mutation: nodes never hold edges, and the successor
-and predecessor indices are updated together.
+and predecessor indices are updated together.  That is what makes
+transactions cheap: between :meth:`ICFG.begin` and :meth:`ICFG.commit`
+every mutator appends an undo record, so :meth:`ICFG.rollback` costs
+what the transaction edited, and the log names the nodes whose
+well-formedness the edit can have changed (the verifier's *frontier*).
 """
 
 from __future__ import annotations
@@ -27,6 +31,22 @@ from repro.ir.expr import VarId
 from repro.ir.nodes import (AssignNode, BranchNode, CallExitNode, CallNode,
                             EntryNode, ExitNode, Node, NopNode)
 from repro.utils.ids import IdAllocator
+
+#: Undo-record tags.  A record is a tuple led by its tag; the remaining
+#: items are what :meth:`ICFG.rollback` needs to reverse the edit.
+_NODE_ADDED = "node-added"        # node id
+_NODE_REMOVED = "node-removed"    # node, entry-list index, exit-list index
+_EDGE_ADDED = "edge-added"        # edge
+_EDGE_REMOVED = "edge-removed"    # edge, successor index, predecessor index
+_LISTED = "listed"                # node id, the entry/exit list it joined
+_PROC_ADDED = "proc-added"        # name
+_PROC_DELETED = "proc-deleted"    # ProcInfo, position in ``procs``
+_FIELD_SET = "field-set"          # object, attribute, old value
+_ITEM_SET = "item-set"            # mapping, key, old value (or _ABSENT)
+_LIST_SET = "list-set"            # list, old contents
+_ALL_DIRTY = "all-dirty"          # (nothing: the extent is unknown)
+
+_ABSENT = object()
 
 
 @unique
@@ -78,6 +98,23 @@ class ProcInfo:
                         list(self.entries), list(self.exits))
 
 
+@dataclass(frozen=True)
+class UndoMark:
+    """Where a transaction began: :meth:`ICFG.rollback` returns here.
+
+    Everything the undo log does not record per edit is captured once,
+    in constant space apart from the per-procedure dirty map.
+    """
+
+    #: Undo-log length at the mark.
+    depth: int
+    generation: int
+    proc_touched: Dict[str, int]
+    #: The id the allocator would hand out next.
+    next_id: int
+    node_count: int
+
+
 class ICFG:
     """Whole-program interprocedural CFG in call-site normal form."""
 
@@ -98,6 +135,8 @@ class ICFG:
         #: name may outlive its procedure (``remove_unreachable`` can
         #: delete procs); staleness queries must tolerate that.
         self._proc_touched: Dict[str, int] = {}
+        #: The open transaction's undo log (None outside transactions).
+        self._undo: Optional[List[tuple]] = None
 
     # -- mutation tracking ---------------------------------------------------
 
@@ -111,6 +150,8 @@ class ICFG:
         """Declare out-of-band mutation of unknown extent (e.g. fault
         injection that bypasses the mutator methods): every procedure is
         considered touched and the generation advances."""
+        if self._undo is not None:
+            self._undo.append((_ALL_DIRTY,))
         self.generation += 1
         for name in self.procs:
             self._proc_touched[name] = self.generation
@@ -123,12 +164,166 @@ class ICFG:
         return {name for name, gen in self._proc_touched.items()
                 if gen > generation}
 
+    # -- transactions -----------------------------------------------------------
+
+    def begin(self) -> UndoMark:
+        """Open a transaction (or, inside one, a savepoint) and return
+        its mark.  From now until :meth:`commit`, every mutator logs how
+        to undo itself."""
+        if self._undo is None:
+            self._undo = []
+        return UndoMark(len(self._undo), self.generation,
+                        dict(self._proc_touched), self._ids.next_id,
+                        len(self.nodes))
+
+    def commit(self) -> int:
+        """End the open transaction, keeping its edits; returns how many
+        undo records it dropped.  A no-op outside a transaction."""
+        log, self._undo = self._undo, None
+        return len(log) if log is not None else 0
+
+    def rollback(self, mark: UndoMark) -> int:
+        """Undo every edit made since ``mark``; returns how many undo
+        records were replayed.
+
+        The graph ends up exactly as :meth:`begin` found it: adjacency
+        and entry/exit lists in their old order, node objects and their
+        fields, the generation, the dirty map and the id allocator.  The
+        transaction stays open; :meth:`commit` ends it.  Nodes are kept
+        in id order (ids are allocated ascending), so a rollback that
+        revives removed nodes re-sorts the node tables.
+        """
+        log = self._undo
+        if log is None:
+            raise RuntimeError("rollback outside a transaction")
+        records = log[mark.depth:]
+        del log[mark.depth:]
+        resort = False
+        for record in reversed(records):
+            tag = record[0]
+            if tag is _EDGE_ADDED:
+                edge = record[1]
+                self._succs[edge.src].pop()
+                self._preds[edge.dst].pop()
+            elif tag is _EDGE_REMOVED:
+                edge, at_src, at_dst = record[1:]
+                self._succs[edge.src].insert(at_src, edge)
+                self._preds[edge.dst].insert(at_dst, edge)
+            elif tag is _NODE_ADDED:
+                node_id = record[1]
+                del self.nodes[node_id]
+                del self._succs[node_id]
+                del self._preds[node_id]
+            elif tag is _NODE_REMOVED:
+                node, entry_at, exit_at = record[1:]
+                self.nodes[node.id] = node
+                self._succs[node.id] = []
+                self._preds[node.id] = []
+                info = self.procs.get(node.proc)
+                if exit_at >= 0:
+                    info.exits.insert(exit_at, node.id)
+                if entry_at >= 0:
+                    info.entries.insert(entry_at, node.id)
+                resort = True
+            elif tag is _LISTED:
+                record[2].pop()
+            elif tag is _FIELD_SET:
+                setattr(record[1], record[2], record[3])
+            elif tag is _ITEM_SET:
+                mapping, key, old = record[1:]
+                if old is _ABSENT:
+                    del mapping[key]
+                else:
+                    mapping[key] = old
+                resort = resort or mapping is self.nodes
+            elif tag is _LIST_SET:
+                record[1][:] = record[2]
+            elif tag is _PROC_ADDED:
+                del self.procs[record[1]]
+            elif tag is _PROC_DELETED:
+                info, position = record[1:]
+                items = list(self.procs.items())
+                items.insert(position, (info.name, info))
+                self.procs.clear()
+                self.procs.update(items)
+        if resort:
+            for table in (self.nodes, self._succs, self._preds):
+                ordered = sorted(table.items(), key=lambda item: item[0])
+                table.clear()
+                table.update(ordered)
+        self.generation = mark.generation
+        self._proc_touched = dict(mark.proc_touched)
+        self._ids = IdAllocator(mark.next_id)
+        return len(records)
+
+    def edited_since(self, mark: UndoMark) -> Optional[Set[int]]:
+        """Ids of the nodes the open transaction's log names since
+        ``mark``: added, removed, re-wired or written.  None when the log
+        cannot bound the edit — outside a transaction, or once
+        :meth:`mark_all_dirty` declared mutation of unknown extent."""
+        log = self._undo
+        if log is None:
+            return None
+        named: Set[int] = set()
+        for index in range(mark.depth, len(log)):
+            record = log[index]
+            tag = record[0]
+            if tag is _EDGE_ADDED or tag is _EDGE_REMOVED:
+                named.add(record[1].src)
+                named.add(record[1].dst)
+            elif tag is _NODE_ADDED or tag is _LISTED:
+                named.add(record[1])
+            elif tag is _NODE_REMOVED:
+                named.add(record[1].id)
+            elif tag is _FIELD_SET:
+                if isinstance(record[1], Node):
+                    named.add(record[1].id)
+            elif tag is _ITEM_SET:
+                if record[1] is self.nodes:
+                    key = record[2]
+                    named.add(key)
+                    named.update(e.dst for e in self._succs.get(key, ()))
+                    named.update(e.src for e in self._preds.get(key, ()))
+            elif tag is _LIST_SET:
+                named.update(record[2])
+            elif tag is _ALL_DIRTY:
+                return None
+        return named
+
+    # -- logged raw writes --------------------------------------------------------
+    #
+    # Writes that bypass the mutators (fault injection simulates exactly
+    # that kind of bug) announce themselves first, so a rollback still
+    # restores the old value.  Outside a transaction they are no-ops.
+
+    def note_field(self, obj: object, attribute: str) -> None:
+        """Log ``obj.attribute`` before it is overwritten."""
+        if self._undo is not None:
+            self._undo.append((_FIELD_SET, obj, attribute,
+                               getattr(obj, attribute)))
+
+    def note_item(self, mapping: dict, key: object) -> None:
+        """Log ``mapping[key]`` (or its absence) before it changes."""
+        if self._undo is not None:
+            self._undo.append((_ITEM_SET, mapping, key,
+                               mapping.get(key, _ABSENT)))
+
+    def note_list(self, items: list) -> None:
+        """Log the contents of ``items`` before it is rewritten."""
+        if self._undo is not None:
+            self._undo.append((_LIST_SET, items, list(items)))
+
     # -- construction -------------------------------------------------------
+    #
+    # Each mutator validates before it writes and logs right after, so
+    # a mutator that raises leaves nothing unlogged behind.
 
     def add_proc(self, info: ProcInfo) -> None:
         if info.name in self.procs:
             raise LoweringError(f"duplicate procedure {info.name!r}")
         self.procs[info.name] = info
+        if self._undo is not None:
+            self._undo.append((_PROC_ADDED, info.name))
 
     def add_node(self, node: Node) -> Node:
         if node.id in self.nodes:
@@ -136,6 +331,8 @@ class ICFG:
         self.nodes[node.id] = node
         self._succs[node.id] = []
         self._preds[node.id] = []
+        if self._undo is not None:
+            self._undo.append((_NODE_ADDED, node.id))
         self._ids.reserve_through(node.id)
         self._touch(node.proc)
         return node
@@ -145,17 +342,29 @@ class ICFG:
 
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> Edge:
         edge = Edge(src, dst, kind)
-        if edge in self._succs[src]:
+        succs = self._succs[src]
+        if edge in succs:
             raise LoweringError(f"duplicate edge {edge}")
-        self._succs[src].append(edge)
-        self._preds[dst].append(edge)
-        self._touch(self.nodes[src].proc, self.nodes[dst].proc)
+        preds = self._preds[dst]
+        procs = (self.nodes[src].proc, self.nodes[dst].proc)
+        succs.append(edge)
+        preds.append(edge)
+        if self._undo is not None:
+            self._undo.append((_EDGE_ADDED, edge))
+        self._touch(*procs)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
-        self._succs[edge.src].remove(edge)
-        self._preds[edge.dst].remove(edge)
-        self._touch(self.nodes[edge.src].proc, self.nodes[edge.dst].proc)
+        succs = self._succs[edge.src]
+        preds = self._preds[edge.dst]
+        procs = (self.nodes[edge.src].proc, self.nodes[edge.dst].proc)
+        at_src = succs.index(edge)
+        at_dst = preds.index(edge)
+        del succs[at_src]
+        del preds[at_dst]
+        if self._undo is not None:
+            self._undo.append((_EDGE_REMOVED, edge, at_src, at_dst))
+        self._touch(*procs)
 
     def has_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
         return Edge(src, dst, kind) in self._succs[src]
@@ -169,13 +378,18 @@ class ICFG:
         node = self.nodes.pop(node_id)
         del self._succs[node_id]
         del self._preds[node_id]
-        self._touch(node.proc)
+        entry_at = exit_at = -1
         info = self.procs.get(node.proc)
         if info is not None:
             if node_id in info.entries:
-                info.entries.remove(node_id)
+                entry_at = info.entries.index(node_id)
+                del info.entries[entry_at]
             if node_id in info.exits:
-                info.exits.remove(node_id)
+                exit_at = info.exits.index(node_id)
+                del info.exits[exit_at]
+        if self._undo is not None:
+            self._undo.append((_NODE_REMOVED, node, entry_at, exit_at))
+        self._touch(node.proc)
 
     def duplicate_node(self, node: Node) -> Node:
         """Register a copy of ``node`` under a fresh id (no edges).
@@ -187,10 +401,33 @@ class ICFG:
         self.add_node(copy)
         info = self.procs[node.proc]
         if isinstance(node, EntryNode):
-            info.entries.append(copy.id)
+            listed = info.entries
         elif isinstance(node, ExitNode):
-            info.exits.append(copy.id)
+            listed = info.exits
+        else:
+            return copy
+        listed.append(copy.id)
+        if self._undo is not None:
+            self._undo.append((_LISTED, copy.id, listed))
         return copy
+
+    def set_call_entry(self, call: CallNode, entry_id: int) -> None:
+        """Point ``call`` at another entry of its callee."""
+        self.note_field(call, "entry_id")
+        call.entry_id = entry_id
+
+    def set_return(self, call: CallNode, exit_id: int,
+                   call_exit_id: Optional[int]) -> None:
+        """Make control leaving the callee through ``exit_id`` resume at
+        ``call_exit_id``, or with None drop that return address."""
+        return_map = dict(call.return_map)
+        if call_exit_id is None:
+            if return_map.pop(exit_id, None) is None:
+                return
+        else:
+            return_map[exit_id] = call_exit_id
+        self.note_field(call, "return_map")
+        call.return_map = return_map
 
     # -- queries ---------------------------------------------------------
 
@@ -301,38 +538,54 @@ class ICFG:
                     continue
                 if edge.dst not in reachable:
                     stack.append(edge.dst)
-        doomed = [nid for nid in self.nodes if nid not in reachable]
+        nodes = self.nodes
+        doomed = [nid for nid in nodes if nid not in reachable]
         for node_id in doomed:
             self.remove_node(node_id)
         # Prune return maps of entries/exits that vanished.
-        for node in self.nodes.values():
-            if isinstance(node, CallNode):
+        for node in nodes.values():
+            if isinstance(node, CallNode) and not all(
+                    ex in nodes and ce in nodes
+                    for ex, ce in node.return_map.items()):
+                self.note_field(node, "return_map")
                 node.return_map = {ex: ce for ex, ce in node.return_map.items()
-                                   if ex in self.nodes and ce in self.nodes}
+                                   if ex in nodes and ce in nodes}
         # Procedures whose every node vanished (fully inlined or never
         # called) no longer exist.
-        populated = {node.proc for node in self.nodes.values()}
+        populated = {node.proc for node in nodes.values()}
         for name in list(self.procs):
             if name not in populated and name != self.main:
+                if self._undo is not None:
+                    position = list(self.procs).index(name)
+                    self._undo.append((_PROC_DELETED, self.procs[name],
+                                       position))
                 del self.procs[name]
                 self._touch(name)
         return len(doomed)
 
+    def sort_predecessors(self) -> None:
+        """Re-list every node's predecessors in source order: sources in
+        node-table (ascending id) order, each source's edges in
+        successor-list order.  The optimizer starts from this canonical
+        order, so its result does not depend on the order in which the
+        input's edges were added."""
+        for edges in self._preds.values():
+            edges.clear()
+        for edges in self._succs.values():
+            for edge in edges:
+                self._preds[edge.dst].append(edge)
+
     def clone(self) -> "ICFG":
-        """Deep structural copy preserving every node id."""
+        """Deep structural copy preserving every node id and the order
+        of every adjacency, entry and exit list."""
         other = ICFG(self.main)
         other.globals = dict(self.globals)
         for name, info in self.procs.items():
             other.procs[name] = info.copy()
         for node_id, node in self.nodes.items():
-            copy = node.copy_with_id(node_id)
-            other.nodes[node_id] = copy
-            other._succs[node_id] = []
-            other._preds[node_id] = []
-        for edges in self._succs.values():
-            for edge in edges:
-                other._succs[edge.src].append(edge)
-                other._preds[edge.dst].append(edge)
+            other.nodes[node_id] = node.copy_with_id(node_id)
+            other._succs[node_id] = list(self._succs[node_id])
+            other._preds[node_id] = list(self._preds[node_id])
         other._ids = self._ids.clone()
         other.generation = self.generation
         other._proc_touched = dict(self._proc_touched)

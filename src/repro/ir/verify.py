@@ -24,6 +24,10 @@ Checked invariants:
 6.  Entry nodes have only CALL in-edges (main's start entry may have
     none) and one NORMAL out-edge; exit nodes have only RETURN out-edges
     and only intraprocedural in-edges.
+
+Every check but the edge symmetry of (1) and the list checks is local
+to one node, which is what lets a transaction re-verify only its edit
+frontier (:func:`edit_frontier`) instead of the whole graph.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import VerificationError
-from repro.ir.icfg import EdgeKind, ICFG, INTRA_KINDS
+from repro.ir.icfg import EdgeKind, ICFG, INTRA_KINDS, UndoMark
 from repro.ir.nodes import (BranchNode, CallExitNode, CallNode, EntryNode,
                             ExitNode, Node)
 
@@ -249,7 +253,8 @@ def _check_proc_lists(icfg: ICFG,
         _fail("a node appears twice in entry/exit lists")
 
 
-def verify_icfg(icfg: ICFG, procs: Optional[Iterable[str]] = None) -> None:
+def verify_icfg(icfg: ICFG, procs: Optional[Iterable[str]] = None,
+                since: Optional[UndoMark] = None) -> None:
     """Raise :class:`VerificationError` on the first broken invariant.
 
     With ``procs`` the check is *scoped*: only nodes, lists, and
@@ -257,23 +262,80 @@ def verify_icfg(icfg: ICFG, procs: Optional[Iterable[str]] = None) -> None:
     sound for incremental re-verification exactly when ``procs`` covers
     every procedure structurally changed since the graph was last known
     clean (the ICFG's dirty-set tracking provides that set, and
-    out-of-band mutation marks everything dirty).  ``procs=None`` is
-    the full check.
+    out-of-band mutation marks everything dirty).
+
+    With ``since`` — the mark of the graph's open transaction — only
+    the transaction's edit frontier is re-checked (see
+    :func:`edit_frontier`); a transaction whose log cannot bound its
+    edit falls back to the dirty-procedure check.  Both assume the
+    graph was clean when the transaction began.  With neither, the
+    check is full.
     """
     from repro import obs
-    with obs.span("ir.verify", scoped=procs is not None):
-        _verify(icfg, procs)
+    with obs.span("ir.verify", scoped=procs is not None or since is not None):
+        _verify(icfg, procs, since)
 
 
-def _verify(icfg: ICFG, procs: Optional[Iterable[str]]) -> None:
+def edit_frontier(icfg: ICFG, mark: UndoMark) -> Optional[List[int]]:
+    """Ids, ascending, of every node whose :func:`_check_node` verdict
+    the open transaction can have changed since ``mark``; None when
+    its undo log cannot bound the edit.
+
+    A node's verdict reads its own edges, fields and entry/exit-list
+    membership, all of which only change through logged edits that name
+    it.  The one exception is a call's return-map completeness, which
+    reads its callee's body, so calls into a dirty procedure (found
+    through the CALL in-edges of its entries) join the frontier too.
+    """
+    edited = icfg.edited_since(mark)
+    if edited is None:
+        return None
+    frontier = {node_id for node_id in edited if node_id in icfg.nodes}
+    for name in icfg.dirty_procs_since(mark.generation):
+        info = icfg.procs.get(name)
+        if info is None:
+            continue
+        for entry_id in info.entries:
+            if entry_id not in icfg.nodes:
+                continue
+            for edge in icfg.pred_edges(entry_id):
+                if edge.kind is EdgeKind.CALL and edge.src in icfg.nodes:
+                    frontier.add(edge.src)
+    return sorted(frontier)
+
+
+def _check_nodes(icfg: ICFG, nodes: Iterable[Node]) -> None:
+    """:func:`_check_node` over ``nodes``, counting the work."""
+    from repro import obs
+    checked = 0
+    try:
+        for node in nodes:
+            checked += 1
+            _check_node(icfg, node)
+    finally:
+        obs.add("verify.nodes_checked", checked)
+
+
+def _verify(icfg: ICFG, procs: Optional[Iterable[str]],
+            since: Optional[UndoMark]) -> None:
     """The untraced body of :func:`verify_icfg`."""
     if icfg.main not in icfg.procs:
         _fail(f"main procedure {icfg.main!r} missing")
+    if since is not None:
+        dirty = icfg.dirty_procs_since(since.generation)
+        frontier = edit_frontier(icfg, since)
+        if frontier is None:
+            procs = dirty
+        else:
+            _check_edge_symmetry_scoped(icfg, frontier)
+            _check_proc_lists(icfg, scope={name for name in dirty
+                                           if name in icfg.procs})
+            _check_nodes(icfg, (icfg.nodes[node_id] for node_id in frontier))
+            return
     if procs is None:
         _check_edge_symmetry(icfg)
         _check_proc_lists(icfg)
-        for node in icfg.iter_nodes():
-            _check_node(icfg, node)
+        _check_nodes(icfg, icfg.iter_nodes())
         return
     scope = set(procs)
     if not scope:
@@ -283,5 +345,4 @@ def _verify(icfg: ICFG, procs: Optional[Iterable[str]]) -> None:
     _check_edge_symmetry_scoped(icfg, [node.id for node in scoped_nodes])
     _check_proc_lists(icfg, scope={name for name in scope
                                    if name in icfg.procs})
-    for node in scoped_nodes:
-        _check_node(icfg, node)
+    _check_nodes(icfg, scoped_nodes)

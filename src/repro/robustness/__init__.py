@@ -2,11 +2,10 @@
 
 The paper calls restructuring "the most delicate part of the system";
 this package is the production answer to that delicacy.  It makes the
-whole-program optimizer crash-proof and self-validating:
+whole-program optimizer crash-proof and self-validating (the
+per-conditional transactions themselves run on the ICFG's own undo log,
+:meth:`~repro.ir.icfg.ICFG.begin`):
 
-- :mod:`~repro.robustness.snapshot` — cheap structural ICFG snapshots,
-  the basis of per-conditional transactions (roll back one conditional,
-  keep the rest of the run);
 - :mod:`~repro.robustness.guards` — per-conditional wall-clock and
   node-growth budgets enforced cooperatively via checkpoints;
 - :mod:`~repro.robustness.faults` — deterministic fault injection at
@@ -35,7 +34,6 @@ from repro.robustness.report import (DiagnosticsBundle, capture_bundle,
                                      write_bundle)
 from repro.robustness.runtime import (active_context, checkpoint,
                                       robustness_context)
-from repro.robustness.snapshot import ICFGSnapshot
 from repro.robustness.supervisor import (BatchReport, BatchSupervisor,
                                          JobSpec, SupervisorOptions,
                                          run_batch)
@@ -43,7 +41,7 @@ from repro.robustness.supervisor import (BatchReport, BatchSupervisor,
 __all__ = [
     "Attempt", "BatchReport", "BatchSupervisor", "CORRUPTION_ACTIONS",
     "DeadlineGuard", "DiagnosticsBundle", "DiffMismatch", "DiffReport",
-    "FaultPlan", "FaultSpec", "FiredFault", "ICFGSnapshot", "JobOutcome",
+    "FaultPlan", "FaultSpec", "FiredFault", "JobOutcome",
     "JobSpec", "Journal", "LADDER", "ResourceGuard", "SupervisorOptions",
     "Tier", "active_context", "capture_bundle", "checkpoint", "corrupt_icfg",
     "differential_check", "load_outcomes", "require_equivalent",

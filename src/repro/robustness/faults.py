@@ -135,9 +135,11 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
 
     Several actions bypass the graph's mutator methods on purpose (that
     is the kind of bug they simulate), so the graph is marked wholly
-    dirty up front: generation-gated machinery (snapshot reuse, scoped
-    verification, the analysis context) must never mistake a corrupted
-    graph for an untouched one.
+    dirty up front: generation-gated machinery (scoped verification, the
+    analysis context) must never mistake a corrupted graph for an
+    untouched one.  Each raw write first records the old value in the
+    graph's undo log, so rolling back an open transaction heals the
+    damage exactly.
     """
     icfg.mark_all_dirty()
     if action == "drop-edge":
@@ -162,11 +164,13 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
     if action == "drop-node":
         nodes = sorted(icfg.nodes)
         doomed = nodes[rng.randrange(len(nodes))]
+        icfg.note_item(icfg.nodes, doomed)
         del icfg.nodes[doomed]  # leaves every incident edge dangling
         return f"dropped node {doomed}, leaving dangling edges"
     if action == "clear-exits":
         names = sorted(icfg.procs)
         name = names[rng.randrange(len(names))]
+        icfg.note_list(icfg.procs[name].exits)
         icfg.procs[name].exits.clear()
         return f"cleared exit list of procedure {name!r}"
     if action == "skew-print":
@@ -176,6 +180,7 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
         node = prints[rng.randrange(len(prints))]
         old = node.value
         bump = old.value + 1 if isinstance(old, Const) else 1
+        icfg.note_field(node, "value")
         node.value = Const(bump)
         return f"skewed print node {node.id}: {old} -> {node.value}"
     raise ValueError(f"unknown corruption action {action!r}")

@@ -17,30 +17,30 @@ Each pass declares which cached analyses of the shared
 :class:`~repro.analysis.context.AnalysisContext` it *preserves*.  After
 a committed transaction the context invalidates only cache entries
 reaching the procedures the transform dirtied (minus the preserved
-analyses); a rollback invalidates nothing, because restoring a snapshot
-restores the generation the caches are keyed to.
+analyses); a rollback invalidates nothing, because rolling the graph's
+undo log back restores the generation the caches are keyed to.
 
-With the context enabled (the default) the per-branch transaction gets
-three structural shortcuts, none of which may change outcomes:
+Every transaction runs on the live graph's undo log
+(:meth:`~repro.ir.icfg.ICFG.begin`, ``commit``, ``rollback``), so it
+costs what it edits: a fruitless transaction rolls back an empty log.
+With the context enabled (the default) a per-branch transaction also
+gets two structural shortcuts, neither of which may change outcomes:
 
-- **snapshot reuse** — a new snapshot is taken only when the graph's
-  generation moved past the last one (i.e. after a commit or a healed
-  corruption), instead of once per conditional;
-- **restore elision** — a failed or fruitless transaction only restores
-  the snapshot when the live graph actually mutated (injected
-  corruption marks the graph dirty, so this is generation-checked);
 - **analysis reuse / clone elision** — the conditional is first
   analyzed *in place* on the live graph; verdicts that cannot lead to
   restructuring (not analyzable, provably no correlation) are recorded
   without ever cloning the graph.  A conditional that shows correlation
-  is restructured from that same analysis when it ran to completion,
-  and re-analyzed otherwise, so a budget-truncated verdict is reached
-  the way the baseline reaches it.
+  is restructured in place, under the undo log, from that same analysis
+  when it ran to completion, and re-analyzed otherwise, so a
+  budget-truncated verdict is reached the way the baseline reaches it;
+- **frontier verification** — the post-transform and post-simplify
+  checks re-verify only the nodes the transaction's log names (see
+  :func:`~repro.ir.verify.edit_frontier`).
 
 Cache-off (``OptimizerOptions.analysis_cache=False``) keeps the
-original per-branch behaviour — snapshot, clone, fresh analysis, full
-verification, unconditional restore — which is exactly what makes it
-the honest A/B baseline for ``--no-analysis-cache``.
+original per-branch behaviour — clone, fresh analysis, full
+verification — which is exactly what makes it the honest A/B baseline
+for ``--no-analysis-cache``.
 """
 
 from __future__ import annotations
@@ -52,13 +52,12 @@ from repro import obs
 from repro.analysis.context import AnalysisContext
 from repro.analysis.driver import analyze_branch
 from repro.errors import DifferentialMismatch
-from repro.ir.icfg import ICFG
+from repro.ir.icfg import ICFG, UndoMark
 from repro.ir.simplify import simplify_nops
 from repro.ir.verify import verify_icfg
 from repro.robustness.diffcheck import DiffReport
 from repro.robustness.guards import ResourceGuard
 from repro.robustness.runtime import checkpoint, robustness_context
-from repro.robustness.snapshot import ICFGSnapshot
 from repro.transform.restructure import (BranchOutcome, RestructureResult,
                                          restructure_branch)
 
@@ -78,47 +77,33 @@ class PipelineState:
     origin: Dict[int, int] = field(default_factory=dict)
     gate_profile: Optional[object] = None
     growth_cap: Optional[int] = None
-    snapshot: Optional[ICFGSnapshot] = None
 
     @property
     def options(self):
         return self.optimizer.options
 
-    # -- snapshot discipline -------------------------------------------------
+    # -- transaction discipline ----------------------------------------------
 
-    def fresh_snapshot(self) -> ICFGSnapshot:
-        obs.add("transform.snapshots_taken")
-        self.snapshot = ICFGSnapshot.take(self.current)
-        return self.snapshot
+    def heal(self, mark: UndoMark) -> None:
+        """Undo out-of-band damage to the live graph and carry on with
+        the transaction begun at ``mark``."""
+        obs.add("transform.undo_replayed", self.current.rollback(mark))
 
-    def ensure_snapshot(self) -> ICFGSnapshot:
-        """A snapshot matching the live graph's generation, reusing the
-        previous one when nothing mutated since it was taken."""
-        if (self.snapshot is not None
-                and self.snapshot.generation == self.current.generation):
-            self.context.stats.snapshot_reuses += 1
-            return self.snapshot
-        return self.fresh_snapshot()
-
-    def restore(self, snapshot: ICFGSnapshot) -> None:
-        """Roll the live graph back to ``snapshot``.
-
-        With the context enabled, a restore is elided when the graph's
-        generation never moved past the snapshot — nothing was mutated
-        (corruption faults bump the generation, so they always force
-        the real restore).  Cache-off keeps the original unconditional
-        restore."""
-        if (self.options.analysis_cache
-                and self.current.generation == snapshot.generation):
-            self.context.stats.restores_elided += 1
-            return
-        obs.add("transform.rollbacks")
-        self.current = snapshot.restore()
-        self.context.rollback(self.current)
+    def rollback(self, mark: UndoMark) -> None:
+        """End the transaction begun at ``mark``, discarding its edits.
+        Only a transaction that changed the graph counts as a rollback;
+        the context's caches describe the restored generation again."""
+        changed = self.current.generation != mark.generation
+        self.heal(mark)
+        self.current.commit()
+        if changed:
+            obs.add("transform.rollbacks")
+            self.context.rollback(self.current)
 
     def commit(self, preserves: FrozenSet[str]) -> None:
         """Adopt the live graph's new state, invalidating cached
         analyses that reach its dirty procedures."""
+        obs.add("transform.undo_records", self.current.commit())
         self.context.commit(self.current, preserves=preserves)
 
 
@@ -189,24 +174,21 @@ class RestructurePass(Pass):
 
         opts = state.options
         optimizer = state.optimizer
-        if opts.analysis_cache:
-            snapshot = state.ensure_snapshot()
-        else:
-            snapshot = state.fresh_snapshot()
+        mark = state.current.begin()
         guard = ResourceGuard(deadline_s=opts.deadline_s,
-                              max_nodes=optimizer._node_cap(snapshot))
+                              max_nodes=optimizer._node_cap(mark))
         diff: Optional[DiffReport] = None
         try:
             with guard, robustness_context(guard=guard,
                                            plan=opts.fault_plan):
                 checkpoint("pipeline:branch-start", state.current)
                 if (opts.analysis_cache
-                        and state.current.generation != snapshot.generation):
+                        and state.current.generation != mark.generation):
                     # A fault corrupted the live graph at the checkpoint
                     # (corruption marks it dirty): heal before analyzing
                     # rather than poisoning this conditional's verdict.
-                    state.current = snapshot.restore()
-                result = self._attempt(state, branch_id, snapshot)
+                    state.heal(mark)
+                result = self._attempt(state, branch_id, mark)
                 if result.applied and opts.diff_check:
                     assert result.new_icfg is not None
                     diff = optimizer._diff(state.original, result.new_icfg)
@@ -215,7 +197,7 @@ class RestructurePass(Pass):
         except Exception as failure:
             if opts.strict:
                 raise
-            state.restore(snapshot)
+            state.rollback(mark)
             state.report.records.append(BranchRecord(
                 branch_id=branch_id, outcome=BranchOutcome.FAILED,
                 failure=f"{type(failure).__name__}: {failure}"))
@@ -247,11 +229,10 @@ class RestructurePass(Pass):
                 state.commit(self.preserves)
         if not adopted:
             # Nothing was accepted, so the pre-transaction state is the
-            # truth.  Restoring it also heals any corruption of the
-            # *live* graph that the conditional's own verdict would
-            # otherwise smuggle forward (generation-checked, so the
-            # fault-free case skips the copy when the cache is on).
-            state.restore(snapshot)
+            # truth.  Rolling back to it also heals any corruption of
+            # the *live* graph that the conditional's own verdict would
+            # otherwise smuggle forward.
+            state.rollback(mark)
         state.report.records.append(record)
         obs_span.set(outcome=record.outcome.value)
         obs.add(f"transform.outcome.{record.outcome.value}")
@@ -263,16 +244,11 @@ class RestructurePass(Pass):
                         record.duplication_bound)
 
     def _attempt(self, state: PipelineState, branch_id: int,
-                 snapshot: ICFGSnapshot) -> RestructureResult:
+                 mark: UndoMark) -> RestructureResult:
         """One conditional's analyze-and-maybe-restructure attempt."""
         opts = state.options
         if not opts.analysis_cache:
-            # The A/B baseline: clone + fresh analysis + full
-            # verification, exactly the pre-context behaviour.
-            return restructure_branch(
-                state.current, branch_id, opts.config,
-                opts.duplication_limit, profile=state.gate_profile,
-                min_benefit_per_node=opts.min_benefit_per_node)
+            return self._fresh_attempt(state, branch_id)
 
         # Pre-analysis, in place on the live graph (the analysis never
         # mutates it).
@@ -280,21 +256,15 @@ class RestructurePass(Pass):
                              context=state.context)
         base = RestructureResult(
             branch_id=branch_id, outcome=BranchOutcome.NOT_ANALYZABLE,
-            analysis=pre,
-            nodes_before=state.current.node_count(),
-            executable_before=state.current.executable_node_count())
+            analysis=pre, nodes_before=state.current.node_count())
         if not pre.analyzable:
             return base
-        if state.current.generation != snapshot.generation:
+        if state.current.generation != mark.generation:
             # A corruption fault fired during the in-place analysis:
             # its verdict is tainted.  Heal and decide the conditional
-            # the way the baseline would, with a fresh analysis.
-            state.current = snapshot.restore()
-            return restructure_branch(
-                state.current, branch_id, opts.config,
-                opts.duplication_limit, profile=state.gate_profile,
-                min_benefit_per_node=opts.min_benefit_per_node,
-                incremental_verify=True)
+            # the way the baseline does.
+            state.heal(mark)
+            return self._fresh_attempt(state, branch_id)
         if (not pre.has_correlation
                 and not pre.stats.budget_exhausted):
             # Exact verdict (nothing was truncated): no correlated path
@@ -311,16 +281,25 @@ class RestructurePass(Pass):
             # consume it directly.
             precomputed = pre
             state.context.stats.analyses_reused += 1
-        # Restructure the live graph in place: the snapshot (not a
-        # throwaway clone) is the transaction's undo log, so the copy
-        # is pure overhead.  Cloning preserves node ids, so the result
-        # is identical to the baseline's cloned run.
+        # Restructure the live graph in place: the transaction's undo
+        # log, not a throwaway clone, is what a rollback replays.
+        # Cloning preserves node ids and list orders, so the result is
+        # identical to the baseline's cloned run.
         return restructure_branch(
             state.current, branch_id, opts.config, opts.duplication_limit,
             profile=state.gate_profile,
             min_benefit_per_node=opts.min_benefit_per_node,
-            precomputed=precomputed, incremental_verify=True,
-            in_place=True)
+            precomputed=precomputed, since=mark)
+
+    @staticmethod
+    def _fresh_attempt(state: PipelineState,
+                       branch_id: int) -> RestructureResult:
+        """The A/B baseline: clone, fresh analysis, full verification."""
+        opts = state.options
+        return restructure_branch(
+            state.current, branch_id, opts.config,
+            opts.duplication_limit, profile=state.gate_profile,
+            min_benefit_per_node=opts.min_benefit_per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +322,19 @@ class SimplifyPass(Pass):
         opts = state.options
         if not opts.simplify:
             return
-        if opts.analysis_cache:
-            snapshot = state.ensure_snapshot()
-        else:
-            snapshot = state.fresh_snapshot()
-        base_generation = state.current.generation
+        mark = state.current.begin()
         try:
             with robustness_context(plan=opts.fault_plan):
                 checkpoint("pipeline:simplify", state.current)
                 simplify_nops(state.current)
-                if opts.analysis_cache:
-                    verify_icfg(state.current,
-                                procs=state.current.dirty_procs_since(
-                                    base_generation))
-                else:
-                    verify_icfg(state.current)
+                verify_icfg(state.current,
+                            since=mark if opts.analysis_cache else None)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as failure:
             if opts.strict:
                 raise
-            state.restore(snapshot)
+            state.rollback(mark)
             state.optimizer._diagnose(state.report, -1, "simplify",
                                       exc=failure, icfg=state.current)
             return

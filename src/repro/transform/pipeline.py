@@ -13,9 +13,9 @@ already-processed conditional created by later transformations inherit
 its processed status; copies of *unprocessed* conditionals are new
 conditionals in their own right and get their own turn.
 
-Every conditional's trip is a *transaction*: the graph is snapshotted
-before the attempt, the attempt runs under the active resource guard
-and fault plan, and any failure — an escaped exception, a blown budget,
+Every conditional's trip is a *transaction* on the graph's undo log:
+the attempt runs under the active resource guard and fault plan, and
+any failure — an escaped exception, a blown budget,
 a verifier rejection, or a differential-trace mismatch on the accepted
 result — rolls back that one conditional and the run continues.  The
 public contract of :meth:`ICBEOptimizer.optimize` is therefore total in
@@ -45,13 +45,12 @@ from repro.analysis.context import AnalysisContext, CacheStats
 from repro.errors import DifferentialMismatch, ReproError
 from repro.interp.profile import Profile, RemappedProfile
 from repro.interp.workload import Workload
-from repro.ir.icfg import ICFG
+from repro.ir.icfg import ICFG, UndoMark
 from repro.ir.verify import verify_icfg
 from repro.robustness.diffcheck import DiffReport, differential_check
 from repro.robustness.faults import FaultPlan
 from repro.robustness.report import (DiagnosticsBundle, capture_bundle,
                                      write_bundle)
-from repro.robustness.snapshot import ICFGSnapshot
 from repro.transform.restructure import BranchOutcome, RestructureResult
 
 
@@ -100,8 +99,8 @@ class OptimizerOptions:
     diagnostics_dir: Optional[str] = None
     #: Share one :class:`~repro.analysis.context.AnalysisContext` across
     #: the run: interned queries, memoized mod/ref and adjacency
-    #: indices, pre-analysis reuse, generation-gated snapshot reuse and
-    #: dirty-procedure-scoped re-verification.  ``False``
+    #: indices, pre-analysis reuse, in-place restructuring under the
+    #: undo log and edit-frontier re-verification.  ``False``
     #: (``--no-analysis-cache``) re-derives everything per conditional —
     #: the original behaviour, kept as the A/B baseline; outcomes are
     #: identical either way.
@@ -215,6 +214,7 @@ class ICBEOptimizer:
         started = time.perf_counter()
         opts = self.options
         current = icfg.clone()
+        current.sort_predecessors()
         report = OptimizationReport(
             optimized=current,
             nodes_before=icfg.node_count(),
@@ -300,12 +300,12 @@ class ICBEOptimizer:
 
     # -- helpers -------------------------------------------------------------
 
-    def _node_cap(self, snapshot: ICFGSnapshot) -> Optional[int]:
+    def _node_cap(self, mark: UndoMark) -> Optional[int]:
         """The per-transaction node budget, if growth-guarded."""
         factor = self.options.guard_growth_factor
         if factor is None:
             return None
-        return int(snapshot.node_count * factor)
+        return int(mark.node_count * factor)
 
     def _diff(self, original: ICFG, optimized: ICFG) -> DiffReport:
         """Differential trace comparison with the configured workloads."""

@@ -1,11 +1,14 @@
 """Per-conditional restructuring driver: analyze → gate → split →
 eliminate → verify (paper §3's two-phase optimization for one branch).
 
-The driver never mutates the input graph: all work happens on a clone,
-which is only handed back when the transformation succeeded and the
-verifier accepted the result.  A rejection (no correlation, duplication
-limit exceeded, or — defensively — a verification failure) reports the
-reason and leaves the caller's graph untouched.
+By default restructuring never mutates the input graph: all work
+happens on a clone, which is only handed back when the transformation
+succeeded and the verifier accepted the result.  A rejection (no
+correlation, duplication limit exceeded, or — defensively — a
+verification failure) reports the reason and leaves the caller's graph
+untouched.  Inside an open transaction (``since``) the work happens on
+the caller's graph instead, and the caller's rollback is what leaves it
+untouched.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.analysis.driver import analyze_branch
 from repro.analysis.result import CorrelationResult
 from repro.interp.profile import Profile
 from repro.errors import TransformError, VerificationError
-from repro.ir.icfg import ICFG
+from repro.ir.icfg import ICFG, UndoMark
 from repro.ir.verify import verify_icfg
 from repro.robustness.runtime import checkpoint
 from repro.transform.eliminate import eliminate_known_copies
@@ -56,8 +59,6 @@ class RestructureResult:
     duplication_bound: int = 0
     nodes_before: int = 0
     nodes_after: int = 0
-    executable_before: int = 0
-    executable_after: int = 0
     eliminated_copies: int = 0
     cloned_from: Dict[int, int] = field(default_factory=dict)
     failure: str = ""
@@ -77,8 +78,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
                        profile=None,
                        min_benefit_per_node: Optional[float] = None,
                        precomputed: Optional[CorrelationResult] = None,
-                       incremental_verify: bool = False,
-                       in_place: bool = False) -> RestructureResult:
+                       since: Optional[UndoMark] = None) -> RestructureResult:
     """Try to eliminate one conditional along its correlated paths.
 
     ``duplication_limit`` is the paper's per-conditional gate: the
@@ -94,16 +94,17 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     ``precomputed`` hands in a finished analysis of ``icfg`` itself
     (same node ids as the working clone) instead of re-analyzing; it
     must be complete (not budget-truncated), because the splitter
-    walks every pair the engine visited.  ``incremental_verify`` scopes the post-transform
-    verification to the procedures the transform actually dirtied
-    (sound because out-of-band corruption marks everything dirty).
-    ``in_place`` mutates ``icfg`` itself instead of a clone: the caller
-    must hold a snapshot and restore it on any non-OPTIMIZED outcome
-    (cloning preserves node ids, so in-place and cloned runs produce
-    identical graphs).
+    walks every pair the engine visited.
+
+    ``since`` is the mark of a transaction the caller opened on
+    ``icfg`` (``icfg.begin()``): the restructuring then mutates ``icfg``
+    itself, the post-transform verification checks only the
+    transaction's edit frontier, and the caller must roll back to the
+    mark on any non-OPTIMIZED outcome.  Without it the work happens on
+    a clone, verified in full.  Cloning preserves node ids and list
+    orders, so both produce identical graphs.
     """
-    working = icfg if in_place else icfg.clone()
-    base_generation = working.generation
+    working = icfg if since is not None else icfg.clone()
     if precomputed is not None:
         analysis = precomputed
     else:
@@ -111,8 +112,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     base = RestructureResult(branch_id=branch_id,
                              outcome=BranchOutcome.NOT_ANALYZABLE,
                              analysis=analysis,
-                             nodes_before=icfg.node_count(),
-                             executable_before=icfg.executable_node_count())
+                             nodes_before=icfg.node_count())
     if not analysis.analyzable:
         return base
     if not analysis.has_correlation:
@@ -139,11 +139,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
             working, outcome.branch_copies)
         working.remove_unreachable()
         checkpoint("transform:verify", working)
-        if incremental_verify:
-            verify_icfg(working,
-                        procs=working.dirty_procs_since(base_generation))
-        else:
-            verify_icfg(working)
+        verify_icfg(working, since=since)
     except (TransformError, VerificationError) as failure:
         base.outcome = BranchOutcome.TRANSFORM_FAILED
         base.failure = str(failure)
@@ -152,6 +148,5 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     base.outcome = BranchOutcome.OPTIMIZED
     base.new_icfg = working
     base.nodes_after = working.node_count()
-    base.executable_after = working.executable_node_count()
     base.cloned_from = outcome.cloned_from
     return base

@@ -157,12 +157,22 @@ class Splitter:
                 or exit_id in self.clone_sets)
 
     def _rebuild_call_exits(self) -> None:
-        call_exits = [n for n in self.icfg.iter_nodes()
-                      if isinstance(n, CallExitNode)]
-        for node in call_exits:
-            if not self._call_exit_needs_rebuild(node):
-                continue
-            self._rebuild_one_call_exit(node)
+        """Rebuild, in id order, every call-site exit the split touches:
+        the visited ones and the LOCAL/RETURN successors of split call
+        and exit nodes."""
+        nodes = self.icfg.nodes
+        candidates = {node_id for node_id, hosted in self.engine.raised.items()
+                      if hosted and isinstance(nodes.get(node_id),
+                                               CallExitNode)}
+        for node_id in self.clone_sets:
+            for edge in self.icfg.succ_edges(node_id):
+                if edge.kind is EdgeKind.LOCAL or edge.kind is EdgeKind.RETURN:
+                    candidates.add(edge.dst)
+        for node_id in sorted(candidates):
+            node = nodes[node_id]
+            if (isinstance(node, CallExitNode)
+                    and self._call_exit_needs_rebuild(node)):
+                self._rebuild_one_call_exit(node)
 
     def _candidates(self, node_id: int) -> List[Tuple[Node, Assignment]]:
         """Copies of a node with their assignments ([original, ()] when
@@ -181,7 +191,7 @@ class Splitter:
             assert isinstance(call_copy, CallNode)
             # The copy's return map is rebuilt from scratch below; drop
             # entries inherited from the original.
-            call_copy.return_map.pop(exit_id, None)
+            self.icfg.set_return(call_copy, exit_id, None)
             for exit_copy, exit_assignment in self._candidates(exit_id):
                 derived = self._derive_call_exit_assignment(
                     node, dict(call_assignment), dict(exit_assignment))
@@ -191,7 +201,7 @@ class Splitter:
                 self.cloned_from[fresh.id] = node.id
                 self.icfg.add_edge(call_copy.id, fresh.id, EdgeKind.LOCAL)
                 self.icfg.add_edge(exit_copy.id, fresh.id, EdgeKind.RETURN)
-                call_copy.return_map[exit_copy.id] = fresh.id
+                self.icfg.set_return(call_copy, exit_copy.id, fresh.id)
                 self.call_exit_assignments[fresh.id] = derived
                 copies.append(fresh)
         self.call_exit_clones[node.id] = copies
@@ -269,31 +279,36 @@ class Splitter:
         return [(self.icfg.nodes[node_id], {})]
 
     def _wire_generic_edges(self) -> None:
+        """Re-derive every original edge incident to a split node, in
+        source-id order and then successor-list order.  Fresh copies
+        and LOCAL/RETURN edges (rebuilt by the call-exit phase) do not
+        drive wiring; edges between untouched nodes survive as they
+        are."""
+        touched = set(self.clone_sets) | set(self.call_exit_clones)
+        sources = set(touched)
+        for node_id in touched:
+            sources.update(edge.src for edge in self.icfg.pred_edges(node_id)
+                           if edge.src not in self.cloned_from)
         original_edges: List[Edge] = []
-        for node_id in sorted(self.icfg.nodes):
-            if node_id in self.cloned_from:
-                continue  # a fresh copy; only original edges drive wiring
+        for node_id in sorted(sources):
+            source_touched = node_id in touched
             for edge in self.icfg.succ_edges(node_id):
                 if edge.kind in (EdgeKind.LOCAL, EdgeKind.RETURN):
-                    continue  # rebuilt by the call-exit phase
+                    continue
                 if edge.dst in self.cloned_from:
                     continue
-                original_edges.append(edge)
+                if source_touched or edge.dst in touched:
+                    original_edges.append(edge)
 
         for edge in original_edges:
-            target_touched = (edge.dst in self.clone_sets
-                              or edge.dst in self.call_exit_clones)
-            source_touched = (edge.src in self.clone_sets
-                              or edge.src in self.call_exit_clones)
-            if not target_touched and not source_touched:
-                continue  # edge survives untouched
             for source_copy, source_assignment in self._source_copies(edge.src):
                 target = self._target_copy(edge, source_assignment)
                 if not self.icfg.has_edge(source_copy.id, target.id, edge.kind):
                     self.icfg.add_edge(source_copy.id, target.id, edge.kind)
-                if edge.kind is EdgeKind.CALL and isinstance(source_copy,
-                                                             CallNode):
-                    source_copy.entry_id = target.id
+                if (edge.kind is EdgeKind.CALL
+                        and isinstance(source_copy, CallNode)
+                        and source_copy.entry_id != target.id):
+                    self.icfg.set_call_entry(source_copy, target.id)
 
     def _target_copy(self, edge: Edge, source_assignment: Dict[Query, Answer]
                      ) -> Node:

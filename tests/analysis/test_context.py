@@ -7,7 +7,6 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.query import Query
 from repro.ir.expr import Const, VarId
 from repro.ir.nodes import BranchNode, NopNode
-from repro.robustness.snapshot import ICFGSnapshot
 
 CONFIG = AnalysisConfig(budget=100_000)
 
@@ -130,17 +129,18 @@ def test_rollback_to_the_cached_generation_keeps_everything():
 
 
 def test_restore_onto_a_foreign_generation_rebinds():
-    """Restoring a snapshot from *before* the cached state (a different
-    generation) must resynchronise rather than trust an index built for
-    a graph the restored one is not."""
+    """Rolling back to a mark from *before* the cached state (a
+    different generation) must resynchronise rather than trust an index
+    built for a graph the rolled-back one is not."""
     icfg = build(SOURCE)
     context = bound_context(icfg)
-    snapshot = ICFGSnapshot.take(icfg)
+    mark = icfg.begin()
     icfg.add_node(BranchNode(icfg.new_id(), "may_fail", Const(1)))
-    context.commit(icfg)         # cache now ahead of the snapshot
+    context.commit(icfg)         # cache now ahead of the mark
     ahead = context.branch_ids(icfg)
 
-    snapshot.restore(into=icfg)
+    icfg.rollback(mark)
+    icfg.commit()
     context.rollback(icfg)
 
     assert context.in_sync(icfg)

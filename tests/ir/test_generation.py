@@ -1,9 +1,9 @@
 """Generation counter and per-procedure dirty sets on the ICFG.
 
 Every mutator must bump the generation and mark the touched procedures,
-clones and snapshots must carry both, and a snapshot restore must put
-the generation back — that last property is what lets the optimizer's
-analysis context keep its caches across a rolled-back transaction.
+clones must carry both, and a transaction rollback must put them back —
+that last property is what lets the optimizer's analysis context keep
+its caches across a rolled-back transaction.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.ir.expr import Const
 from repro.ir.icfg import EdgeKind, ICFG, ProcInfo
 from repro.ir.nodes import BranchNode, EntryNode, ExitNode, NopNode
-from repro.robustness.snapshot import ICFGSnapshot
 
 
 def two_proc_graph():
@@ -86,13 +85,13 @@ def test_clone_carries_generation_and_dirty_sets():
 
 def test_snapshot_restore_restores_the_generation():
     icfg = two_proc_graph()
-    snapshot = ICFGSnapshot.take(icfg)
+    mark = icfg.begin()
     taken_at = icfg.generation
     icfg.add_node(NopNode(icfg.new_id(), "main"))
     assert icfg.generation > taken_at
-    restored = snapshot.restore()
-    assert restored.generation == taken_at
-    assert restored.dirty_procs_since(taken_at) == set()
+    icfg.rollback(mark)
+    assert icfg.generation == taken_at
+    assert icfg.dirty_procs_since(taken_at) == set()
 
 
 def test_restore_after_rollback_leaves_cached_analyses_valid():
@@ -123,18 +122,19 @@ def test_restore_after_rollback_leaves_cached_analyses_valid():
     ids = context.branch_ids(icfg)
     mods = context.mod_sets(icfg)
 
-    # A transaction mutates the graph, then rolls back via snapshot.
-    snapshot = ICFGSnapshot.take(icfg)
+    # A transaction mutates the graph, then rolls back its undo log.
+    mark = icfg.begin()
     doomed = icfg.add_node(NopNode(icfg.new_id(), "main"))
     icfg.add_edge(icfg.procs["main"].entries[0], doomed.id, EdgeKind.CALL)
     assert not context.in_sync(icfg)
-    restored = snapshot.restore()
-    context.rollback(restored)
-    assert context.in_sync(restored)
+    icfg.rollback(mark)
+    icfg.commit()
+    context.rollback(icfg)
+    assert context.in_sync(icfg)
     # Nothing was invalidated, and the memos match a fresh derivation.
-    assert context.branch_ids(restored) is ids
-    assert context.mod_sets(restored) is mods
-    assert ids == sorted(b.id for b in restored.branch_nodes())
+    assert context.branch_ids(icfg) is ids
+    assert context.mod_sets(icfg) is mods
+    assert ids == sorted(b.id for b in icfg.branch_nodes())
 
 
 def test_branch_node_alone_does_not_dirty_other_procs():

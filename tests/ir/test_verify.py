@@ -213,3 +213,153 @@ def test_invariant6_exit_with_non_return_out_edge_named():
     icfg.add_edge(exit_id, nop.id, EdgeKind.NORMAL)
     with pytest.raises(VerificationError, match="non-RETURN out-edges"):
         verify_icfg(icfg)
+
+
+# ---------------------------------------------------------------------------
+# The edit frontier (``verify_icfg(icfg, since=mark)``).  One case per
+# invariant class: a transaction breaks the invariant through the
+# mutators (or, where only a raw write can, through a logged one) and
+# the frontier check must reject the graph.
+# ---------------------------------------------------------------------------
+
+
+def frontier_rejects(icfg, mark, match):
+    with pytest.raises(VerificationError, match=match):
+        verify_icfg(icfg, since=mark)
+
+
+def nop_of(icfg, proc):
+    return [n for n in icfg.iter_nodes()
+            if isinstance(n, NopNode) and n.proc == proc][0]
+
+
+def call_of(icfg):
+    return [n for n in icfg.iter_nodes() if isinstance(n, CallNode)][0]
+
+
+def test_frontier_accepts_an_untouched_and_a_well_formed_edit():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    verify_icfg(icfg, since=mark)
+    nop = nop_of(icfg, "f")
+    copy = icfg.duplicate_node(nop)
+    for edge in icfg.pred_edges(nop.id):
+        icfg.remove_edge(edge)
+        icfg.add_edge(edge.src, copy.id, edge.kind)
+    icfg.add_edge(copy.id, icfg.only_succ(nop.id), EdgeKind.NORMAL)
+    icfg.remove_node(nop.id)
+    verify_icfg(icfg, since=mark)
+
+
+def test_frontier_invariant1_dangling_edge():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    victim = nop_of(icfg, "f").id
+    icfg.note_item(icfg.nodes, victim)
+    del icfg.nodes[victim]
+    frontier_rejects(icfg, mark, "unknown node")
+
+
+def test_frontier_invariant2_unknown_procedure():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    icfg.add_node(NopNode(icfg.new_id(), "nowhere"))
+    frontier_rejects(icfg, mark, "unknown procedure 'nowhere'")
+
+
+def test_frontier_invariant2_cross_procedure_edge():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    nop = nop_of(icfg, "f")
+    for edge in icfg.succ_edges(nop.id):
+        icfg.remove_edge(edge)
+    icfg.add_edge(nop.id, icfg.procs["main"].exits[0], EdgeKind.NORMAL)
+    frontier_rejects(icfg, mark, "crosses procedures")
+
+
+def test_frontier_invariant3_branch_and_flowthrough_arity():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    branch = branch_of(icfg)
+    for edge in icfg.succ_edges(branch.id):
+        if edge.kind is EdgeKind.TRUE:
+            icfg.remove_edge(edge)
+    frontier_rejects(icfg, mark, rf"branch {branch.id} has out-edges")
+    icfg.rollback(mark)
+    nop = nop_of(icfg, "f")
+    for edge in icfg.succ_edges(nop.id):
+        icfg.remove_edge(edge)
+    frontier_rejects(icfg, mark, "expected exactly one NORMAL")
+
+
+def test_frontier_invariant4_call_site_normal_form():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    call = call_of(icfg)
+    for edge in icfg.succ_edges(call.id):
+        if edge.kind is EdgeKind.LOCAL:
+            icfg.remove_edge(edge)
+    frontier_rejects(icfg, mark, "no call-site exit")
+    icfg.rollback(mark)
+    call_exit = [n for n in icfg.iter_nodes()
+                 if isinstance(n, CallExitNode)][0]
+    icfg.remove_edge([e for e in icfg.pred_edges(call_exit.id)
+                      if e.kind is EdgeKind.RETURN][0])
+    frontier_rejects(icfg, mark, "call-exit")
+    icfg.rollback(mark)
+    icfg.set_call_entry(call, icfg.procs["f"].exits[0])
+    frontier_rejects(icfg, mark, "is not an entry of")
+
+
+def test_frontier_invariant5_return_maps():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    call = call_of(icfg)
+    exit_id = icfg.procs["f"].exits[0]
+    icfg.set_return(call, exit_id, 999999)
+    frontier_rejects(icfg, mark, "return_map")
+    icfg.rollback(mark)
+    call_exit = call.return_map[exit_id]
+    icfg.set_return(call, exit_id, None)
+    icfg.set_return(call, icfg.main_entry(), call_exit)
+    frontier_rejects(icfg, mark, "return_map key .* is not an exit")
+
+
+def test_frontier_rechecks_calls_into_an_edited_callee():
+    """Splitting the callee's exit without touching the caller leaves
+    the caller's return map incomplete.  Only the callee is dirty, so
+    the frontier must reach the caller through the callee's entry."""
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    exit_node = icfg.nodes[icfg.procs["f"].exits[0]]
+    copy = icfg.duplicate_node(exit_node)
+    moved = icfg.pred_edges(exit_node.id)[0]
+    icfg.remove_edge(moved)
+    icfg.add_edge(moved.src, copy.id, moved.kind)
+    assert icfg.dirty_procs_since(mark.generation) == {"f"}
+    frontier_rejects(icfg, mark, "lacks return addresses")
+
+
+def test_frontier_invariant6_entry_and_exit_edges():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    entry = icfg.procs["f"].entries[0]
+    nop = nop_of(icfg, "f")
+    for edge in icfg.succ_edges(nop.id):
+        icfg.remove_edge(edge)
+    icfg.add_edge(nop.id, entry, EdgeKind.NORMAL)
+    frontier_rejects(icfg, mark, "non-CALL in-edges")
+    icfg.rollback(mark)
+    icfg.add_edge(icfg.procs["f"].exits[0], nop.id, EdgeKind.NORMAL)
+    frontier_rejects(icfg, mark, "non-RETURN out-edges")
+
+
+def test_frontier_falls_back_when_the_log_cannot_bound_the_edit():
+    icfg = build(SOURCE)
+    mark = icfg.begin()
+    icfg.mark_all_dirty()
+    exits = icfg.procs["f"].exits
+    icfg.note_list(exits)
+    exits.clear()
+    assert icfg.edited_since(mark) is None
+    frontier_rejects(icfg, mark, "no exit")

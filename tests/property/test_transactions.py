@@ -1,0 +1,145 @@
+"""The two contracts of a per-conditional transaction, property-style.
+
+- **Rollback is exact.**  Whatever a transaction did to the live graph
+  (in-place restructuring, every corruption action, raises mid-split),
+  rolling its undo log back leaves the graph equal to a clone taken at
+  ``begin()``: same nodes and fields, same adjacency, entry and exit
+  list orders, same generation, dirty map and next id.  A write inside
+  a transaction that bypasses the log breaks this.
+- **The frontier is sound.**  On every transaction, the edit-frontier
+  check and the dirty-procedure check agree (both pass or both raise),
+  with edges dropped or strayed just before verification.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tests.property.test_cache_equivalence import OPTIONS
+
+from repro.analysis import AnalysisConfig
+from repro.benchgen import generate_program
+from repro.errors import VerificationError
+from repro.ir import dump_icfg, lower_program, verify_icfg
+from repro.ir.icfg import ICFG
+from repro.robustness import CORRUPTION_ACTIONS, FaultPlan, FaultSpec
+from repro.transform import ICBEOptimizer, OptimizerOptions
+
+SITES = ("analysis:pair", "transform:split", "transform:eliminate",
+         "transform:verify", "pipeline:branch-start", "pipeline:simplify",
+         "diffcheck:run")
+
+fault_specs = st.builds(
+    FaultSpec, site=st.sampled_from(SITES), hit=st.integers(1, 4),
+    action=st.sampled_from(("raise",) + CORRUPTION_ACTIONS),
+    seed=st.integers(0, 99))
+
+
+def assert_same_graph(live, reference):
+    assert dump_icfg(live) == dump_icfg(reference)
+    assert list(live.nodes) == list(reference.nodes)
+    for node_id, node in reference.nodes.items():
+        assert live.nodes[node_id] == node
+        assert live.succ_edges(node_id) == reference.succ_edges(node_id)
+        assert live.pred_edges(node_id) == reference.pred_edges(node_id)
+    assert list(live.procs) == list(reference.procs)
+    for name, info in reference.procs.items():
+        assert live.procs[name] == info
+    assert live.globals == reference.globals
+    assert live.generation == reference.generation
+    assert live._proc_touched == reference._proc_touched
+    assert live._ids.next_id == reference._ids.next_id
+
+
+def optimize_checking_rollbacks(icfg, options):
+    """Optimize with every rollback compared against a clone taken at
+    its transaction's ``begin()``."""
+    begin, rollback = ICFG.begin, ICFG.rollback
+    references = {}
+
+    def checked_begin(graph):
+        mark = begin(graph)
+        references[id(mark)] = (mark, graph.clone())
+        return mark
+
+    def checked_rollback(graph, mark):
+        replayed = rollback(graph, mark)
+        assert_same_graph(graph, references[id(mark)][1])
+        return replayed
+
+    with mock.patch.object(ICFG, "begin", checked_begin), \
+            mock.patch.object(ICFG, "rollback", checked_rollback):
+        report = ICBEOptimizer(options).optimize(icfg)
+    verify_icfg(report.optimized)
+
+
+@given(seed=st.integers(0, 4_000),
+       specs=st.lists(fault_specs, min_size=1, max_size=3),
+       budget=st.sampled_from((80, 10_000)),
+       cache=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_rollback_restores_the_graph_begin_saw(seed, specs, budget, cache):
+    icfg = lower_program(generate_program(seed, OPTIONS))
+    optimize_checking_rollbacks(icfg, OptimizerOptions(
+        config=AnalysisConfig(budget=budget), diff_check=True,
+        fault_plan=FaultPlan(list(specs)), analysis_cache=cache))
+
+
+@pytest.mark.parametrize("action", CORRUPTION_ACTIONS)
+@pytest.mark.parametrize("site", ("analysis:pair", "transform:split",
+                                  "transform:eliminate", "transform:verify",
+                                  "pipeline:branch-start"))
+def test_rollback_heals_every_corruption_exactly(site, action):
+    """Every corruption action, at every site that hands a transaction's
+    graph to the fault plan, on the first conditional that gets there."""
+    icfg = lower_program(generate_program(1, OPTIONS))
+    plan = FaultPlan([FaultSpec(site, 1, action, seed=3)])
+    optimize_checking_rollbacks(icfg, OptimizerOptions(
+        config=AnalysisConfig(budget=10_000), diff_check=True,
+        fault_plan=plan))
+    assert plan.fired
+
+
+def verdict(check):
+    try:
+        check()
+    except VerificationError:
+        return "raise"
+    return "pass"
+
+
+@given(seed=st.integers(0, 4_000),
+       hits=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       action=st.sampled_from(("drop-edge", "stray-edge")),
+       fault_seed=st.integers(0, 99))
+@settings(max_examples=15, deadline=None)
+def test_frontier_and_dirty_procedure_checks_agree(seed, hits, action,
+                                                   fault_seed):
+    icfg = lower_program(generate_program(seed, OPTIONS))
+    verdicts = []
+
+    def both_checks(graph, procs=None, since=None):
+        if since is not None:
+            frontier = verdict(lambda: verify_icfg(graph, since=since))
+            dirty = graph.dirty_procs_since(since.generation)
+            by_procs = verdict(lambda: verify_icfg(graph, procs=dirty))
+            verdicts.append((frontier, by_procs))
+            assert frontier == by_procs
+        verify_icfg(graph, procs=procs, since=since)
+
+    plan = FaultPlan([FaultSpec("transform:verify", hit, action,
+                                seed=fault_seed) for hit in set(hits)])
+    optimizer = ICBEOptimizer(OptimizerOptions(
+        config=AnalysisConfig(budget=10_000), fault_plan=plan))
+    # Both corruptions go through the logged mutators; without the
+    # blanket mark_all_dirty() the frontier check does the work instead
+    # of falling back to the dirty-procedure check.
+    with mock.patch.object(ICFG, "mark_all_dirty", lambda graph: None), \
+            mock.patch("repro.transform.restructure.verify_icfg",
+                       both_checks), \
+            mock.patch("repro.transform.passes.verify_icfg", both_checks):
+        report = optimizer.optimize(icfg)
+    verify_icfg(report.optimized)
+    if plan.fired and not plan.fired[0].detail.startswith("noop"):
+        assert ("raise", "raise") in verdicts

@@ -2,6 +2,7 @@
 
 from tests.helpers import build
 
+from repro import obs
 from repro.analysis import AnalysisConfig
 from repro.analysis.context import AnalysisContext
 from repro.benchgen.suite import load_benchmark
@@ -66,13 +67,18 @@ def test_cache_on_and_off_agree_exactly():
 
 def test_cached_run_reports_cache_activity():
     icfg = build(SOURCE)
-    report = run(icfg, analysis_cache=True)
+    with obs.session() as active:
+        report = run(icfg, analysis_cache=True)
     stats = report.cache
     assert stats.commits >= report.optimized_count
     assert stats.analyses_reused > 0
-    # Fruitless transactions never copy the graph back.
-    fruitless = len(report.records) - report.optimized_count
-    assert stats.restores_elided == fruitless
+    # Fruitless transactions roll back an empty undo log: nothing is
+    # replayed, and none of them counts as a rollback.
+    assert len(report.records) > report.optimized_count
+    assert stats.rollbacks == 0
+    counters = active.metrics.snapshot()["counters"]
+    assert counters["transform.undo_records"] > 0
+    assert counters.get("transform.undo_replayed", 0) == 0
 
 
 def test_uncached_run_reports_zero_cache_activity():
@@ -80,8 +86,7 @@ def test_uncached_run_reports_zero_cache_activity():
     report = run(icfg, analysis_cache=False)
     stats = report.cache
     assert stats.analyses_reused == 0
-    assert stats.snapshot_reuses == 0
-    assert stats.restores_elided == 0
+    assert stats.commits == stats.rollbacks == 0
 
 
 def test_input_graph_is_never_mutated_despite_in_place_transactions():

@@ -4,6 +4,7 @@ import re
 
 from tests.helpers import build, check_equivalent
 
+from repro import obs
 from repro.analysis import AnalysisConfig
 from repro.interp import Workload, run_icfg
 from repro.ir import verify_icfg
@@ -283,3 +284,49 @@ def test_intraprocedural_mode_still_transforms_local_cases():
     # After splitting, the second test never executes.
     after = run_icfg(result.new_icfg, Workload([7]))
     assert after.profile.executed_conditionals == 1
+
+
+LOCALITY = """
+    proc main() {
+        var x = input();
+        var f = 0;
+        if (x > 0) { f = 1; }
+        if (f == 1) { print 1; }
+        PADDING
+        return 0;
+    }
+"""
+
+
+def counting_verified_nodes(action):
+    """``action()``'s result and the ``verify.nodes_checked`` it added."""
+    with obs.session() as active:
+        result = action()
+    return result, active.metrics.snapshot()["counters"]["verify.nodes_checked"]
+
+
+def locality_transaction(padding):
+    """One conditional's in-place transaction on LOCALITY; returns the
+    nodes its frontier check examined and the dirty-procedure check's
+    count for the same edit."""
+    icfg = build(LOCALITY.replace("PADDING", padding))
+    branch = find_branch(icfg, "f == 1")
+    mark = icfg.begin()
+    result, frontier = counting_verified_nodes(
+        lambda: restructure_branch(icfg, branch.id, CONFIG, since=mark))
+    assert result.applied
+    dirty = icfg.dirty_procs_since(mark.generation)
+    _, by_procs = counting_verified_nodes(
+        lambda: verify_icfg(icfg, procs=dirty))
+    return frontier, by_procs
+
+
+def test_frontier_verification_is_local():
+    """Padding the conditional's procedure with unrelated straight-line
+    code must not change what its transaction verifies."""
+    frontier, by_procs = locality_transaction("")
+    padded_frontier, padded_by_procs = locality_transaction(
+        "x = x + 1; print x;\n" * 40)
+    assert padded_frontier == frontier
+    # The dirty-procedure check, by contrast, re-checks the padding.
+    assert padded_by_procs >= by_procs + 80
