@@ -103,8 +103,7 @@ class AnalysisContext:
     INDICES = "indices"
     ALL: FrozenSet[str] = frozenset((MODREF, INDICES))
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: Generation of the graph every cached artifact describes, or
         #: None before the context is bound to a run.
         self.generation: Optional[int] = None
@@ -125,15 +124,13 @@ class AnalysisContext:
 
     def in_sync(self, icfg: ICFG) -> bool:
         """True when cached facts describe exactly this graph state."""
-        return self.enabled and self.generation == icfg.generation
+        return self.generation == icfg.generation
 
     def commit(self, icfg: ICFG,
                preserves: FrozenSet[str] = frozenset()) -> None:
         """A transform on ``icfg`` was adopted: invalidate cached facts
         reaching the dirty procedures, except the analyses the
         committing pass declared it preserves."""
-        if not self.enabled:
-            return
         self.stats.commits += 1
         if self.generation is None or icfg.generation < self.generation:
             # Unknown history: be safe and start over.
@@ -157,8 +154,6 @@ class AnalysisContext:
         """A transaction was rolled back.  The rollback also restores
         the generation, so cached facts are valid again and nothing is
         invalidated."""
-        if not self.enabled:
-            return
         self.stats.rollbacks += 1
         if self.generation is not None and icfg.generation != self.generation:
             # The rollback did not land on the cached generation (it

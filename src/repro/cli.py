@@ -104,15 +104,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         config=_config(args), duplication_limit=args.limit,
         strict=args.strict, diff_check=args.diff_check,
         deadline_s=args.deadline, guard_growth_factor=args.guard_growth,
-        diagnostics_dir=args.diagnostics,
-        analysis_cache=not args.no_analysis_cache))
+        diagnostics_dir=args.diagnostics))
     report = optimizer.optimize(icfg)
     print(f"conditionals optimized: {report.optimized_count} / "
           f"{report.conditionals_before}")
     print(f"nodes: {report.nodes_before} -> {report.nodes_after} "
           f"({report.growth_percent:+.1f}%)")
-    if not args.no_analysis_cache:
-        print(f"analysis cache: {report.cache.describe()}")
+    print(f"analysis cache: {report.cache.describe()}")
     if report.failed_count or report.rolled_back_count:
         print(f"transactions rolled back: {report.failed_count} failed, "
               f"{report.rolled_back_count} differential")
@@ -325,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_p.add_argument("--diagnostics", default=None, metavar="DIR",
                             help="write a diagnostics bundle per rolled-back "
                                  "transform into DIR")
-    optimize_p.add_argument("--no-analysis-cache", action="store_true",
-                            help="disable the shared analysis context "
-                                 "(analysis reuse, memoized mod/ref, "
-                                 "incremental re-verification); "
-                                 "outcomes are identical, only slower")
     optimize_p.set_defaults(func=cmd_optimize)
 
     predict_p = add_parser(

@@ -316,44 +316,32 @@ snapshots across same-seed runs, asserted in `tests/obs/`):
 
 
 def _cache_section() -> str:
-    """Analysis-context counters and cache-on/off equivalence."""
+    """Analysis-context counters of one optimizer run per benchmark."""
     from repro.benchgen.suite import benchmark_names
     from repro.harness.metrics import prepare_benchmark
-    from repro.ir import dump_icfg
     from repro.transform import ICBEOptimizer, OptimizerOptions
 
-    header = ("| benchmark | analyses reused | commits | rollbacks | "
-              "outcomes |\n"
-              "|---|---|---|---|---|")
+    header = ("| benchmark | analyses reused | commits | rollbacks |\n"
+              "|---|---|---|---|")
     rows = []
     for name in benchmark_names():
         context = prepare_benchmark(name)
-        cached = ICBEOptimizer(OptimizerOptions(
-            duplication_limit=100)).optimize(context.icfg)
-        plain = ICBEOptimizer(OptimizerOptions(
-            duplication_limit=100,
-            analysis_cache=False)).optimize(context.icfg)
-        identical = (
-            [(r.branch_id, r.outcome) for r in cached.records]
-            == [(r.branch_id, r.outcome) for r in plain.records]
-            and dump_icfg(cached.optimized) == dump_icfg(plain.optimized))
-        stats = cached.cache
+        stats = ICBEOptimizer(OptimizerOptions(
+            duplication_limit=100)).optimize(context.icfg).cache
         rows.append(
             f"| {name} | {stats.analyses_reused} | "
-            f"{stats.commits} | {stats.rollbacks} | "
-            f"{'identical' if identical else 'DIVERGED'} |")
+            f"{stats.commits} | {stats.rollbacks} |")
 
     return f"""\
 ## Analysis context — shared caches across conditionals
 
 The optimizer runs as a pass pipeline over one shared, generation-keyed
-`AnalysisContext` (see docs/ARCHITECTURE.md): pre-analysis reuse,
-memoized mod/ref, in-place restructuring under the graph's undo log,
-and edit-frontier re-verification.  `--no-analysis-cache`
-re-derives everything per conditional; per-branch outcomes and the
-final graph are identical either way (last column compares both, here
-and in `benchmarks/bench_cache.py` at scale 8 where the shared context
-gives a >= 1.5x wall-clock speedup).
+`AnalysisContext` (see docs/ARCHITECTURE.md): interned queries,
+memoized mod/ref, and one in-place analysis per conditional that also
+drives its in-place restructuring under the graph's undo log, verified
+on the transaction's edit frontier.  Every transaction's record and
+graph equal a clone-and-reanalyze restructuring of the graph it began
+on (`tests/property/test_transactions.py`).
 
 {header}
 {chr(10).join(rows)}

@@ -1,4 +1,5 @@
-"""The graceful-degradation ladder for batch optimization jobs.
+"""The graceful-degradation ladder for ``icbe batch`` and ``icbe serve``
+jobs.
 
 A job that cannot complete under the full optimizer does not take the
 batch down and does not simply vanish: it descends the ladder one tier
@@ -8,15 +9,12 @@ records exactly how far it fell and why.  The tiers, strongest first:
 ====  ================  ===================================================
 tier  name              what still runs
 ====  ================  ===================================================
-0     full              interprocedural ICBE, shared analysis context
-1     no-cache          interprocedural ICBE, per-conditional re-derivation
-                        (the ``--no-analysis-cache`` A/B baseline — rules
-                        out cache machinery as the failure source)
-2     intra             intraprocedural-only elimination (Mueller &
+0     full              interprocedural ICBE
+1     intra             intraprocedural-only elimination (Mueller &
                         Whalley's safe subset: no cross-call queries, so
                         the demand-driven engine's input-dependent cost
                         disappears)
-3     parse-through     no optimization at all: parse, lower, verify,
+2     parse-through     no optimization at all: parse, lower, verify,
                         emit the program unchanged (always semantically
                         correct by construction)
 ====  ================  ===================================================
@@ -45,8 +43,6 @@ class Tier:
     name: str
     #: False for parse-through: the optimizer is not invoked at all.
     optimize: bool = True
-    #: Share the cross-conditional analysis context?
-    analysis_cache: bool = True
     #: Ask interprocedural questions at all?
     interprocedural: bool = True
 
@@ -78,7 +74,6 @@ class Tier:
             diff_check=diff_check,
             diff_seed=diff_seed,
             fault_plan=fault_plan,
-            analysis_cache=self.analysis_cache,
             tier=self.index,
             tier_name=self.name)
 
@@ -86,9 +81,8 @@ class Tier:
 #: The ladder, strongest tier first.  Index i is always LADDER[i].
 LADDER: Tuple[Tier, ...] = (
     Tier(0, "full"),
-    Tier(1, "no-cache", analysis_cache=False),
-    Tier(2, "intra", analysis_cache=False, interprocedural=False),
-    Tier(3, "parse-through", optimize=False),
+    Tier(1, "intra", interprocedural=False),
+    Tier(2, "parse-through", optimize=False),
 )
 
 #: The weakest (always-terminating) tier's index.

@@ -41,7 +41,7 @@ from repro.robustness.degrade import JobOutcome
 from repro.utils import durafs
 
 JOURNAL_NAME = "journal.jsonl"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 #: The durafs fault site of every journal write.
 SITE = "batch.journal"
 

@@ -44,7 +44,7 @@ from repro.robustness.degrade import (Attempt, HARD_RESULTS, JobOutcome,
                                       NON_RETRYABLE_ERRORS, STATUS_DEGRADED,
                                       STATUS_FAILED, STATUS_OK)
 from repro.robustness.guards import DeadlineGuard
-from repro.robustness.journal import Journal
+from repro.robustness.journal import SCHEMA_VERSION, Journal
 from repro.robustness.worker import parse_job_source, run_attempt, worker_main
 from repro.utils import durafs
 
@@ -398,7 +398,8 @@ class BatchSupervisor:
             if not self.jobs:
                 self.jobs = [JobSpec.from_json(data)
                              for data in recovered.meta["jobs"]]
-            Journal.check_meta(recovered, {"version": 1, **self._meta()})
+            Journal.check_meta(recovered, {"version": SCHEMA_VERSION,
+                                           **self._meta()})
             self.journal.open_resume(recovered)
             completed = recovered.completed
         else:

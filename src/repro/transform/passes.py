@@ -23,24 +23,23 @@ undo log back restores the generation the caches are keyed to.
 Every transaction runs on the live graph's undo log
 (:meth:`~repro.ir.icfg.ICFG.begin`, ``commit``, ``rollback``), so it
 costs what it edits: a fruitless transaction rolls back an empty log.
-With the context enabled (the default) a per-branch transaction also
-gets two structural shortcuts, neither of which may change outcomes:
+Each conditional is decided one way:
 
-- **analysis reuse / clone elision** — the conditional is first
-  analyzed *in place* on the live graph; verdicts that cannot lead to
-  restructuring (not analyzable, provably no correlation) are recorded
-  without ever cloning the graph.  A conditional that shows correlation
-  is restructured in place, under the undo log, from that same analysis
-  when it ran to completion, and re-analyzed otherwise, so a
-  budget-truncated verdict is reached the way the baseline reaches it;
+- **one analysis, in place** — the conditional is analyzed on the live
+  graph, sharing the context's interned queries and memos (which never
+  change a verdict); verdicts that cannot lead to restructuring are
+  recorded without touching the graph, and a conditional that shows
+  correlation is restructured in place, under the undo log, from that
+  same analysis, budget-truncated or not;
 - **frontier verification** — the post-transform and post-simplify
   checks re-verify only the nodes the transaction's log names (see
   :func:`~repro.ir.verify.edit_frontier`).
 
-Cache-off (``OptimizerOptions.analysis_cache=False``) keeps the
-original per-branch behaviour — clone, fresh analysis, full
-verification — which is exactly what makes it the honest A/B baseline
-for ``--no-analysis-cache``.
+The reference for both is :func:`restructure_branch` without ``since``
+(clone, fresh analysis, full verification): every fault-free
+transaction's record and graph equal it on a clone of the graph the
+transaction began on.  It is also the recovery path when a corruption
+fault taints the in-place analysis.
 """
 
 from __future__ import annotations
@@ -158,11 +157,8 @@ class RestructurePass(Pass):
             self._transact(state, branch_id)
 
     def _pending(self, state: PipelineState) -> List[int]:
-        if state.options.analysis_cache:
-            ids = state.context.branch_ids(state.current)
-        else:
-            ids = [b.id for b in state.current.branch_nodes()]
-        return [bid for bid in ids if bid not in state.done]
+        return [bid for bid in state.context.branch_ids(state.current)
+                if bid not in state.done]
 
     def _transact(self, state: PipelineState, branch_id: int) -> None:
         with obs.span("transform.branch", branch=branch_id) as obs_span:
@@ -182,8 +178,7 @@ class RestructurePass(Pass):
             with guard, robustness_context(guard=guard,
                                            plan=opts.fault_plan):
                 checkpoint("pipeline:branch-start", state.current)
-                if (opts.analysis_cache
-                        and state.current.generation != mark.generation):
+                if state.current.generation != mark.generation:
                     # A fault corrupted the live graph at the checkpoint
                     # (corruption marks it dirty): heal before analyzing
                     # rather than poisoning this conditional's verdict.
@@ -245,61 +240,36 @@ class RestructurePass(Pass):
 
     def _attempt(self, state: PipelineState, branch_id: int,
                  mark: UndoMark) -> RestructureResult:
-        """One conditional's analyze-and-maybe-restructure attempt."""
+        """One conditional's analysis and, when it shows correlation,
+        restructuring."""
         opts = state.options
-        if not opts.analysis_cache:
-            return self._fresh_attempt(state, branch_id)
-
-        # Pre-analysis, in place on the live graph (the analysis never
+        # Analysis in place on the live graph (the analysis never
         # mutates it).
         pre = analyze_branch(state.current, branch_id, opts.config,
                              context=state.context)
-        base = RestructureResult(
-            branch_id=branch_id, outcome=BranchOutcome.NOT_ANALYZABLE,
-            analysis=pre, nodes_before=state.current.node_count())
         if not pre.analyzable:
-            return base
+            return RestructureResult(
+                branch_id=branch_id, outcome=BranchOutcome.NOT_ANALYZABLE,
+                analysis=pre, nodes_before=state.current.node_count())
         if state.current.generation != mark.generation:
-            # A corruption fault fired during the in-place analysis:
-            # its verdict is tainted.  Heal and decide the conditional
-            # the way the baseline does.
+            # A corruption fault fired during the in-place analysis: its
+            # verdict is tainted.  Heal, then decide the conditional on
+            # a clone with a fresh analysis and full verification.
             state.heal(mark)
-            return self._fresh_attempt(state, branch_id)
-        if (not pre.has_correlation
-                and not pre.stats.budget_exhausted):
-            # Exact verdict (nothing was truncated): no correlated path
-            # exists, so no clone, no restructuring.  A truncated
-            # no-correlation verdict falls through to the fresh path
-            # instead, which applies the budget the same way the
-            # baseline does.
-            base.outcome = BranchOutcome.NO_CORRELATION
-            return base
-        precomputed = None
-        if not pre.stats.budget_exhausted:
-            # The pre-analysis ran to completion: it *is* a fresh
-            # analysis (node ids survive cloning), so restructuring can
-            # consume it directly.
-            precomputed = pre
+            return restructure_branch(
+                state.current, branch_id, opts.config,
+                opts.duplication_limit, profile=state.gate_profile,
+                min_benefit_per_node=opts.min_benefit_per_node)
+        if pre.has_correlation:
             state.context.stats.analyses_reused += 1
-        # Restructure the live graph in place: the transaction's undo
-        # log, not a throwaway clone, is what a rollback replays.
-        # Cloning preserves node ids and list orders, so the result is
-        # identical to the baseline's cloned run.
+        # Restructure the live graph in place from the same analysis,
+        # budget-truncated or not; a verdict without correlation returns
+        # before any edit, and a rollback replays the undo log.
         return restructure_branch(
             state.current, branch_id, opts.config, opts.duplication_limit,
             profile=state.gate_profile,
             min_benefit_per_node=opts.min_benefit_per_node,
-            precomputed=precomputed, since=mark)
-
-    @staticmethod
-    def _fresh_attempt(state: PipelineState,
-                       branch_id: int) -> RestructureResult:
-        """The A/B baseline: clone, fresh analysis, full verification."""
-        opts = state.options
-        return restructure_branch(
-            state.current, branch_id, opts.config,
-            opts.duplication_limit, profile=state.gate_profile,
-            min_benefit_per_node=opts.min_benefit_per_node)
+            precomputed=pre, since=mark)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +297,7 @@ class SimplifyPass(Pass):
             with robustness_context(plan=opts.fault_plan):
                 checkpoint("pipeline:simplify", state.current)
                 simplify_nops(state.current)
-                verify_icfg(state.current,
-                            since=mark if opts.analysis_cache else None)
+                verify_icfg(state.current, since=mark)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as failure:

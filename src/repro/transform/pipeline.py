@@ -27,10 +27,11 @@ The run itself is structured as a pass pipeline (see
 :mod:`repro.transform.passes`): restructure → simplify → final
 validation, sharing one
 :class:`~repro.analysis.context.AnalysisContext` whose cached analyses
-are invalidated incrementally after each committed transaction.
-``OptimizerOptions.analysis_cache=False`` turns the shared context off
-and recovers the original per-conditional re-derivation, with
-guaranteed-identical outcomes.
+are invalidated incrementally after each committed transaction.  Each
+conditional is analyzed once, in place, and restructured in place from
+that analysis; the result equals
+:func:`~repro.transform.restructure.restructure_branch` on a clone of
+the graph the transaction began on.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ class OptimizerOptions:
     #: Spill a diagnostics bundle per failure into this directory
     #: (None = keep bundles in memory on the report only).
     diagnostics_dir: Optional[str] = None
-    #: Share one :class:`~repro.analysis.context.AnalysisContext` across
-    #: the run: interned queries, memoized mod/ref and adjacency
-    #: indices, pre-analysis reuse, in-place restructuring under the
-    #: undo log and edit-frontier re-verification.  ``False``
-    #: (``--no-analysis-cache``) re-derives everything per conditional —
-    #: the original behaviour, kept as the A/B baseline; outcomes are
-    #: identical either way.
-    analysis_cache: bool = True
     #: Degradation-ladder hook (see :mod:`repro.robustness.degrade`):
     #: which ladder tier these options encode.  Purely descriptive here —
     #: tier *semantics* are expressed through the other fields — but the
@@ -143,7 +136,7 @@ class OptimizationReport:
     conditionals_after: int = 0
     elapsed_seconds: float = 0.0
     #: Analysis-context counters for the run (reuses, invalidations,
-    #: elided work); all zero when caching is off.
+    #: commits, rollbacks).
     cache: CacheStats = field(default_factory=CacheStats)
     #: Degradation-ladder tier the run executed at (stamped from
     #: :attr:`OptimizerOptions.tier`; 0/"full" outside batch runs).
@@ -222,7 +215,7 @@ class ICBEOptimizer:
             conditionals_before=icfg.conditional_node_count(),
             tier=opts.tier, tier_name=opts.tier_name)
 
-        context = AnalysisContext(enabled=opts.analysis_cache)
+        context = AnalysisContext()
         context.bind(current)
         gate_profile = None
         origin: Dict[int, int] = {}

@@ -92,9 +92,7 @@ def restructure_branch(icfg: ICFG, branch_id: int,
     per duplicated node.
 
     ``precomputed`` hands in a finished analysis of ``icfg`` itself
-    (same node ids as the working clone) instead of re-analyzing; it
-    must be complete (not budget-truncated), because the splitter
-    walks every pair the engine visited.
+    (same node ids as the working clone) instead of re-analyzing.
 
     ``since`` is the mark of a transaction the caller opened on
     ``icfg`` (``icfg.begin()``): the restructuring then mutates ``icfg``

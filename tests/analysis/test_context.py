@@ -112,13 +112,6 @@ def test_out_of_sync_context_stands_aside():
     assert result.engine.context is None
 
 
-def test_disabled_context_never_syncs():
-    icfg = build(SOURCE)
-    context = AnalysisContext(enabled=False)
-    context.bind(icfg)
-    assert not context.in_sync(icfg)
-
-
 def test_rollback_to_the_cached_generation_keeps_everything():
     icfg = build(SOURCE)
     context = bound_context(icfg)

@@ -1,4 +1,4 @@
-"""The two contracts of a per-conditional transaction, property-style.
+"""The three contracts of a per-conditional transaction, property-style.
 
 - **Rollback is exact.**  Whatever a transaction did to the live graph
   (in-place restructuring, every corruption action, raises mid-split),
@@ -9,6 +9,12 @@
 - **The frontier is sound.**  On every transaction, the edit-frontier
   check and the dirty-procedure check agree (both pass or both raise),
   with edges dropped or strayed just before verification.
+- **The reference agrees.**  On fault-free runs, every transaction (one
+  in-place analysis, in-place restructuring, frontier verification)
+  produces the record, and for an optimized conditional the graph, of
+  :func:`~repro.transform.restructure.restructure_branch` without
+  ``since``: a clone of the graph the transaction began on, a fresh
+  analysis and a full verification.
 """
 
 from unittest import mock
@@ -16,15 +22,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.property.test_cache_equivalence import OPTIONS
-
 from repro.analysis import AnalysisConfig
-from repro.benchgen import generate_program
+from repro.benchgen import GeneratorOptions, generate_program
+from repro.benchgen.suite import load_benchmark
 from repro.errors import VerificationError
 from repro.ir import dump_icfg, lower_program, verify_icfg
 from repro.ir.icfg import ICFG
 from repro.robustness import CORRUPTION_ACTIONS, FaultPlan, FaultSpec
 from repro.transform import ICBEOptimizer, OptimizerOptions
+from repro.transform.passes import RestructurePass
+from repro.transform.restructure import restructure_branch
+
+OPTIONS = GeneratorOptions(procedures=3, statements_per_proc=7)
 
 SITES = ("analysis:pair", "transform:split", "transform:eliminate",
          "transform:verify", "pipeline:branch-start", "pipeline:simplify",
@@ -76,14 +85,13 @@ def optimize_checking_rollbacks(icfg, options):
 
 @given(seed=st.integers(0, 4_000),
        specs=st.lists(fault_specs, min_size=1, max_size=3),
-       budget=st.sampled_from((80, 10_000)),
-       cache=st.booleans())
+       budget=st.sampled_from((80, 10_000)))
 @settings(max_examples=15, deadline=None)
-def test_rollback_restores_the_graph_begin_saw(seed, specs, budget, cache):
+def test_rollback_restores_the_graph_begin_saw(seed, specs, budget):
     icfg = lower_program(generate_program(seed, OPTIONS))
     optimize_checking_rollbacks(icfg, OptimizerOptions(
         config=AnalysisConfig(budget=budget), diff_check=True,
-        fault_plan=FaultPlan(list(specs)), analysis_cache=cache))
+        fault_plan=FaultPlan(list(specs))))
 
 
 @pytest.mark.parametrize("action", CORRUPTION_ACTIONS)
@@ -143,3 +151,62 @@ def test_frontier_and_dirty_procedure_checks_agree(seed, hits, action,
     verify_icfg(report.optimized)
     if plan.fired and not plan.fired[0].detail.startswith("noop"):
         assert ("raise", "raise") in verdicts
+
+
+def record_fields(result):
+    record = ICBEOptimizer._record(result)
+    return (record.outcome, record.duplication_bound, record.node_growth,
+            record.eliminated_copies, record.pairs_examined,
+            record.budget_exhausted)
+
+
+def optimize_checking_transactions(icfg, options):
+    """Optimize with every transaction compared against
+    ``restructure_branch`` without ``since`` on the graph it began on.
+    A failed comparison is collected rather than raised, because the
+    optimizer would record it as a failed transaction and carry on."""
+    attempt = RestructurePass._attempt
+    seen, expected = [], []
+
+    def checked_attempt(self, state, branch_id, mark):
+        opts = state.options
+        reference = restructure_branch(
+            state.current, branch_id, opts.config, opts.duplication_limit,
+            profile=state.gate_profile,
+            min_benefit_per_node=opts.min_benefit_per_node)
+        result = attempt(self, state, branch_id, mark)
+        same_graph = (not result.applied or dump_icfg(result.new_icfg)
+                      == dump_icfg(reference.new_icfg))
+        seen.append((branch_id, record_fields(result), same_graph))
+        expected.append((branch_id, record_fields(reference), True))
+        return result
+
+    with mock.patch.object(RestructurePass, "_attempt", checked_attempt):
+        report = ICBEOptimizer(options).optimize(icfg)
+    assert seen == expected
+    assert len(seen) == len(report.records)
+    return report
+
+
+@given(seed=st.integers(0, 4_000), budget=st.sampled_from((80, 10_000)))
+@settings(max_examples=10, deadline=None)
+def test_every_transaction_matches_the_reference(seed, budget):
+    icfg = lower_program(generate_program(seed, OPTIONS))
+    optimize_checking_transactions(icfg, OptimizerOptions(
+        config=AnalysisConfig(budget=budget)))
+
+
+@pytest.mark.parametrize("program, options", [
+    # A suite program under the default budget and a duplication limit.
+    (lambda: load_benchmark("compress_like", 2).program,
+     OptimizerOptions(duplication_limit=100)),
+    # A budget-truncated restructuring whose in-place result once
+    # diverged from the reference's: cloning must keep predecessor
+    # list order.
+    (lambda: generate_program(1460, OPTIONS),
+     OptimizerOptions(config=AnalysisConfig(budget=80))),
+], ids=["compress_like@2", "generated-1460"])
+def test_known_transactions_match_the_reference(program, options):
+    report = optimize_checking_transactions(lower_program(program()),
+                                            options)
+    assert report.optimized_count > 0

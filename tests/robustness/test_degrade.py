@@ -9,42 +9,39 @@ from repro.robustness.degrade import (Attempt, JobOutcome, LADDER,
 
 
 def test_ladder_shape():
-    assert tier_names() == ("full", "no-cache", "intra", "parse-through")
-    assert [t.index for t in LADDER] == [0, 1, 2, 3]
-    assert degrade.FLOOR_TIER == 3
+    assert tier_names() == ("full", "intra", "parse-through")
+    assert [t.index for t in LADDER] == [0, 1, 2]
+    assert degrade.FLOOR_TIER == 2
 
 
 def test_ladder_weakens_monotonically():
     # Each descent removes capability, never adds it back.
-    assert LADDER[0].analysis_cache and LADDER[0].interprocedural
-    assert not LADDER[1].analysis_cache and LADDER[1].interprocedural
-    assert not LADDER[2].analysis_cache and not LADDER[2].interprocedural
-    assert not LADDER[3].optimize
+    assert LADDER[0].optimize and LADDER[0].interprocedural
+    assert LADDER[1].optimize and not LADDER[1].interprocedural
+    assert not LADDER[2].optimize
 
 
 def test_tier_lookup_clamps():
     assert tier(-5).name == "full"
     assert tier(99).name == "parse-through"
-    assert tier(1).name == "no-cache"
+    assert tier(1).name == "intra"
 
 
 def test_tier_options_reflect_the_tier():
     full = tier(0).options(budget=123, duplication_limit=7)
-    assert full.analysis_cache and full.config.interprocedural
+    assert full.config.interprocedural
     assert full.config.budget == 123 and full.duplication_limit == 7
     assert (full.tier, full.tier_name) == (0, "full")
 
-    no_cache = tier(1).options()
-    assert not no_cache.analysis_cache and no_cache.config.interprocedural
-
-    intra = tier(2).options()
+    intra = tier(1).options(budget=123)
     assert not intra.config.interprocedural
-    assert (intra.tier, intra.tier_name) == (2, "intra")
+    assert intra.config.budget == 123
+    assert (intra.tier, intra.tier_name) == (1, "intra")
 
 
 def test_parse_through_tier_has_no_optimizer_options():
     with pytest.raises(ValueError, match="parse-through"):
-        tier(3).options()
+        tier(2).options()
 
 
 def test_tier_stamps_flow_into_the_optimization_report():
@@ -54,22 +51,22 @@ def test_tier_stamps_flow_into_the_optimization_report():
 
     icfg = lower_program(parse_program(
         "proc main() { if (input() > 0) { print 1; } return 0; }"))
-    report = ICBEOptimizer(tier(2).options()).optimize(icfg)
-    assert (report.tier, report.tier_name) == (2, "intra")
+    report = ICBEOptimizer(tier(1).options()).optimize(icfg)
+    assert (report.tier, report.tier_name) == (1, "intra")
 
 
 def test_attempt_json_roundtrip():
-    attempt = Attempt(tier=1, tier_name="no-cache", result="timeout",
+    attempt = Attempt(tier=1, tier_name="intra", result="timeout",
                       detail="no result within 2s", backoff_s=0.0625)
     assert Attempt.from_json(attempt.to_json()) == attempt
 
 
 def test_outcome_json_roundtrip_and_properties():
     outcome = JobOutcome(
-        job="gen3.mc", status=STATUS_DEGRADED, tier=1, tier_name="no-cache",
+        job="gen3.mc", status=STATUS_DEGRADED, tier=1, tier_name="intra",
         reason="timeout: killed",
         attempts=(Attempt(0, "full", "timeout", "killed"),
-                  Attempt(1, "no-cache", "ok")),
+                  Attempt(1, "intra", "ok")),
         counts={"optimized": 2})
     assert outcome.definite
     assert outcome.retries == 1

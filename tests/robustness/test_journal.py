@@ -2,12 +2,16 @@
 
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.errors import SupervisorError
 from repro.robustness.degrade import Attempt, JobOutcome
-from repro.robustness.journal import (Journal, canonical_json, load_outcomes)
+from repro.robustness.journal import (JOURNAL_NAME, SCHEMA_VERSION, Journal,
+                                      canonical_json, load_outcomes)
+from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
+                                         SupervisorOptions)
 
 
 def _outcome(job="a.mc", status="OK", tier=0):
@@ -105,10 +109,12 @@ def test_missing_meta_is_an_error(tmp_path):
 def test_check_meta_refuses_foreign_batches(tmp_path):
     _write(tmp_path)
     recovered = Journal.recover(str(tmp_path))
-    Journal.check_meta(recovered, {"version": 1, **_meta()})  # same: fine
+    same = {"version": SCHEMA_VERSION, **_meta()}
+    Journal.check_meta(recovered, same)  # same: fine
     with pytest.raises(SupervisorError, match="seed mismatch"):
-        Journal.check_meta(recovered, {"version": 1, **_meta(seed=8)})
-    other_jobs = {"version": 1, **_meta()}
+        Journal.check_meta(recovered,
+                           {"version": SCHEMA_VERSION, **_meta(seed=8)})
+    other_jobs = dict(same)
     other_jobs["jobs"] = ["a.mc"]
     with pytest.raises(SupervisorError, match="jobs mismatch"):
         Journal.check_meta(recovered, other_jobs)
@@ -119,3 +125,37 @@ def test_identical_writes_are_byte_identical(tmp_path):
     path_one = _write(tmp_path / "one", outcomes=outcomes)
     path_two = _write(tmp_path / "two", outcomes=outcomes)
     assert open(path_one, "rb").read() == open(path_two, "rb").read()
+
+
+def test_resume_refuses_a_v1_journal_before_any_job_runs(tmp_path):
+    # A v1 journal comes from the four-tier ladder, whose tier 1 was
+    # "no-cache".  Today's ladder has no such tier, so the resume must
+    # stop before running the remaining job, not after it while
+    # rendering the report.
+    program = tmp_path / "a.mc"
+    program.write_text("proc main() { return 0; }")
+    jobs = [JobSpec(str(program)), JobSpec(str(program))]
+    degraded = JobOutcome(
+        job="a.mc", status="DEGRADED", tier=1, tier_name="no-cache",
+        reason="crash: worker died",
+        attempts=(Attempt(0, "full", "crash"), Attempt(1, "no-cache", "ok")),
+        counts={"optimized": 0})
+    records = [{"type": "meta", "version": 1, "seed": 7,
+                "jobs": [job.to_json() for job in jobs],
+                "options": SupervisorOptions().fingerprint()},
+               {"type": "job", "index": 0, "outcome": degraded.to_json()}]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    path = run_dir / JOURNAL_NAME
+    path.write_text("".join(canonical_json(r) + "\n" for r in records))
+    journaled = path.read_bytes()
+
+    with mock.patch("repro.robustness.supervisor.run_attempt",
+                    side_effect=AssertionError("a job ran")):
+        with pytest.raises(SupervisorError,
+                           match=f"schema v1 != v{SCHEMA_VERSION}"):
+            BatchSupervisor([], str(run_dir),
+                            options=SupervisorOptions(isolation="inprocess"),
+                            resume=True).run()
+    assert path.read_bytes() == journaled
+    assert sorted(os.listdir(run_dir)) == [JOURNAL_NAME]

@@ -105,7 +105,7 @@ def test_strict_fault_descends_exactly_one_tier_per_attempt(
     assert outcome.status == STATUS_DEGRADED
     # One tier per attempt, starting from the top, until a tier the
     # fault no longer reaches (here: intra never splits this program,
-    # so transform:split is never hit at tier 2).
+    # so transform:split is never hit at tier 1).
     tiers = [a.tier for a in outcome.attempts]
     assert tiers == list(range(len(tiers)))
     assert outcome.tier == tiers[-1] >= 1
@@ -279,7 +279,7 @@ def test_circuit_breaker_stops_a_failing_class(tmp_path):
         path.write_text(PROGRAM)
         sources.append(str(path))
     specs = [JobSpec(source,
-                     inject={"kind": "crash", "tiers": [0, 1, 2, 3]})
+                     inject={"kind": "crash", "tiers": [0, 1, 2]})
              for source in sources]
     report = BatchSupervisor(
         [*specs], str(tmp_path / "run"),

@@ -224,7 +224,7 @@ def test_breaker_opens_after_threshold_and_fails_fast(tmp_path):
             status, payload, _ = await _submit(
                 service, {"source": PROGRAM, "class": "crashy",
                           "inject": {"kind": "crash",
-                                     "tiers": [0, 1, 2, 3]}})
+                                     "tiers": [0, 1, 2]}})
             assert status == 202
             job = await _await_done(service, payload["id"], timeout_s=60.0)
             assert job.result["status"] == "FAILED"

@@ -6,7 +6,7 @@ from repro import obs
 from repro.analysis import AnalysisConfig
 from repro.analysis.context import AnalysisContext
 from repro.benchgen.suite import load_benchmark
-from repro.ir import dump_icfg, lower_program, verify_icfg
+from repro.ir import dump_icfg, lower_program
 from repro.transform import ICBEOptimizer, OptimizerOptions
 from repro.transform.passes import (FinalValidatePass, PassManager,
                                     RestructurePass, SimplifyPass,
@@ -48,27 +48,25 @@ def test_pass_preservation_declarations():
     assert FinalValidatePass.preserves == AnalysisContext.ALL
 
 
-def test_cache_on_and_off_agree_exactly():
-    # compress_like@2 under the default analysis budget truncates some
-    # conditionals, so it also pins the per-record analysis cost.
-    cases = [(build(SOURCE), {}),
-             (lower_program(load_benchmark("compress_like", 2).program),
-              {"config": AnalysisConfig(), "duplication_limit": 100})]
-    for icfg, options in cases:
-        cached = run(icfg, analysis_cache=True, **options)
-        plain = run(icfg, analysis_cache=False, **options)
-        assert ([(r.branch_id, r.outcome, r.pairs_examined,
-                  r.budget_exhausted) for r in cached.records]
-                == [(r.branch_id, r.outcome, r.pairs_examined,
-                     r.budget_exhausted) for r in plain.records])
-        assert dump_icfg(cached.optimized) == dump_icfg(plain.optimized)
-        verify_icfg(cached.optimized)
+def test_each_conditional_is_analyzed_once():
+    # m88ksim_like@4 under the default budget truncates two analyses;
+    # their verdicts come from the same single in-place analysis.
+    icfg = lower_program(load_benchmark("m88ksim_like", 4).program)
+    with obs.session() as active:
+        report = run(icfg, config=AnalysisConfig(), duplication_limit=100)
+    assert sum(r.budget_exhausted for r in report.records) == 2
+    counters = active.metrics.snapshot()["counters"]
+    assert (counters["analysis.pairs_examined"]
+            == counters["optimize.pairs_examined"])
+    assert (counters["analysis.branches_analyzed"]
+            + counters.get("analysis.branches_unanalyzable", 0)
+            == len(report.records))
 
 
 def test_cached_run_reports_cache_activity():
     icfg = build(SOURCE)
     with obs.session() as active:
-        report = run(icfg, analysis_cache=True)
+        report = run(icfg)
     stats = report.cache
     assert stats.commits >= report.optimized_count
     assert stats.analyses_reused > 0
@@ -81,19 +79,11 @@ def test_cached_run_reports_cache_activity():
     assert counters.get("transform.undo_replayed", 0) == 0
 
 
-def test_uncached_run_reports_zero_cache_activity():
-    icfg = build(SOURCE)
-    report = run(icfg, analysis_cache=False)
-    stats = report.cache
-    assert stats.analyses_reused == 0
-    assert stats.commits == stats.rollbacks == 0
-
-
 def test_input_graph_is_never_mutated_despite_in_place_transactions():
     icfg = build(SOURCE)
     pristine = dump_icfg(icfg)
     generation = icfg.generation
-    run(icfg, analysis_cache=True)
+    run(icfg)
     assert dump_icfg(icfg) == pristine
     assert icfg.generation == generation
 
@@ -103,7 +93,7 @@ def test_simplify_commit_preserves_summaries():
     declares MODREF preserved), even though it dirties procedures."""
     icfg = build(SOURCE)
     # Intraprocedural mode is the one that consults mod/ref.
-    report = run(icfg, analysis_cache=True, duplication_limit=0,
+    report = run(icfg, duplication_limit=0,
                  config=AnalysisConfig(budget=100_000,
                                        interprocedural=False))
     # With splitting gated off entirely, nothing dirties the graph
