@@ -37,7 +37,8 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.trace import NULL_SPAN, Span, Tracer, _NullSpan
 
 __all__ = ["ObsSession", "session", "suspended", "current", "enabled",
-           "span", "add", "gauge", "observe", "Tracer", "Span",
+           "span", "add", "gauge", "observe", "record_worker_span",
+           "Tracer", "Span",
            "MetricsRegistry", "Counter", "Gauge", "Histogram", "NULL_SPAN"]
 
 
@@ -152,3 +153,25 @@ def observe(name: str, value: Number) -> None:
     if active is None:
         return
     active.metrics.observe(name, value)
+
+
+def record_worker_span(name: str, wall_s: float, spans=None, metrics=None,
+                       origin: str = "", **attrs: Any) -> None:
+    """Place a worker attempt that just ended, ``wall_s`` long, into the
+    active session as span ``name`` under the open span, and adopt the
+    worker's own exported ``spans`` (id-remapped, re-parented under it,
+    clock-rebased) and ``metrics``.  A no-op with no active session."""
+    active = _ACTIVE
+    if active is None:
+        return
+    tracer = active.tracer
+    end_s = tracer.now()
+    start_s = end_s - max(0.0, wall_s)
+    parent = tracer.current.span_id if tracer.current is not None else 0
+    span = tracer.record(name, start_s, end_s, parent_id=parent, **attrs)
+    if spans:
+        offset = start_s - min(r["start_s"] for r in spans)
+        tracer.adopt(spans, parent_id=span.span_id, clock_offset_s=offset,
+                     origin=origin)
+    if metrics:
+        active.metrics.merge(metrics)

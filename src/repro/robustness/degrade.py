@@ -24,15 +24,22 @@ and (when enabled) differential validation — degradation trades
 *optimization strength*, never correctness.
 
 The ladder descends exactly one tier per failed attempt ("no job
-downgrades more than one tier beyond necessity"); the supervisor's
-circuit breaker (see :mod:`~repro.robustness.supervisor`) is the only
-thing that short-circuits it.
+downgrades more than one tier beyond necessity"); the per-class circuit
+breaker is the only thing that short-circuits it.
+
+:class:`JobPolicy` is the one place that decides what a finished
+attempt means — descend, succeed, or fail, and after which backoff.
+``icbe batch`` (:mod:`~repro.robustness.supervisor`) and ``icbe serve``
+(:mod:`~repro.serve.service`) both run it; each host only runs and
+kills its workers and waits out backoffs its own way.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,10 @@ class Attempt:
                    context=dict(data.get("context", {})))
 
 
-#: Attempt results that mean the worker *process* died rather than
-#: reporting a structured failure — these feed the circuit breaker.
+#: Attempt results that feed the circuit breaker: the worker process
+#: died (timeout, killed, crash, no-result), or it ran out of memory
+#: under its cap (oom: the worker's own structured ``MemoryError``
+#: report).  Only a success resets a class's count.
 HARD_RESULTS = frozenset({"timeout", "killed", "oom", "crash", "no-result"})
 
 #: Structured error kinds no amount of degradation can fix: the input
@@ -172,7 +181,7 @@ NON_RETRYABLE_ERRORS = frozenset({"LexError", "ParseError", "SemanticError",
 
 @dataclass
 class JobOutcome:
-    """The definite, structured verdict on one batch job.
+    """The definite, structured verdict on one batch or serve job.
 
     ``status`` is one of :data:`STATUS_OK` (succeeded at tier 0),
     :data:`STATUS_DEGRADED` (succeeded at a lower tier; ``tier`` and
@@ -243,3 +252,148 @@ class JobOutcome:
                                   for a in data.get("attempts", ())),
                    counts=dict(data.get("counts", {})),
                    context=dict(data.get("context", {})))
+
+
+# ---------------------------------------------------------------------------
+# The job policy.
+# ---------------------------------------------------------------------------
+
+
+class PolicyJob(Protocol):
+    """The fields of a host's job record that :class:`JobPolicy` reads
+    and writes."""
+
+    @property
+    def name(self) -> str: ...
+
+    @property
+    def job_class(self) -> str: ...
+
+    #: Seeds the job's backoff jitter: stable job identity, never a
+    #: pid, a clock or a scheduling position.
+    @property
+    def backoff_key(self) -> str: ...
+
+    tier: int
+    attempts: List[Attempt]
+    #: The backoff waited before the next attempt, recorded on it.
+    pending_backoff_s: float
+
+
+class JobPolicy:
+    """What each finished attempt of a job means: the ladder, the
+    per-class circuit breaker and seeded backoff, with no I/O and no
+    clock.
+
+    A host hands every finished attempt to :meth:`settle` (the worker
+    reported a payload) or :meth:`fail` (the host saw the attempt die).
+    Both append the :class:`Attempt` to the job and return the job's
+    definite :class:`JobOutcome` — or ``None`` after moving the job one
+    tier down and setting ``job.pending_backoff_s``, which the host
+    waits out before the next attempt.
+
+    A class's breaker opens once its :data:`HARD_RESULTS` since its last
+    success reach ``options.breaker_threshold``; from then on, any
+    failed attempt in the class ends its job FAILED.
+
+    ``options`` is the host's option set (``SupervisorOptions`` or
+    ``ServeOptions``); the policy reads its seed, ``backoff_*`` fields
+    and ``breaker_threshold``.
+    """
+
+    def __init__(self, options) -> None:
+        #: Read at every decision: a batch resume adopts its journal's
+        #: options after the policy exists.
+        self.options = options
+        #: Job class -> hard results since the class's last success.
+        self.counts: Dict[str, int] = {}
+        #: Job class -> detail of the hard failure that opened it.
+        self.open: Dict[str, str] = {}
+
+    def settle(self, job: PolicyJob, payload: dict) -> Optional[JobOutcome]:
+        """Classify a worker's structured payload (side channels such
+        as telemetry already stripped)."""
+        if payload.get("ok"):
+            self._attempt(job, "ok")
+            self.counts[job.job_class] = 0
+            if job.tier == 0:
+                status, reason = STATUS_OK, ""
+            else:
+                first = next(a for a in job.attempts if a.result != "ok")
+                status = STATUS_DEGRADED
+                reason = f"{first.result}: {first.detail}"
+            return self._outcome(job, status, reason,
+                                 counts=payload.get("counts") or {})
+        detail = f"{payload.get('error')}: {payload.get('message')}"
+        if (payload.get("kind") == "load-error"
+                or payload.get("error") in NON_RETRYABLE_ERRORS):
+            context = payload.get("context") or {}
+            self._attempt(job, "error", detail, context)
+            return self._outcome(job, STATUS_FAILED,
+                                 f"non-retryable: {detail}", context=context)
+        return self.fail(job, payload.get("kind", "error"), detail)
+
+    def fail(self, job: PolicyJob, result: str,
+             detail: str) -> Optional[JobOutcome]:
+        """Account one failed attempt: breaker first, then descend or
+        fail at the floor."""
+        self._attempt(job, result, detail)
+        threshold = self.options.breaker_threshold
+        if result in HARD_RESULTS:
+            count = self.counts.get(job.job_class, 0) + 1
+            self.counts[job.job_class] = count
+            if count >= threshold:
+                self.open.setdefault(job.job_class, detail)
+        if job.job_class in self.open:
+            rung = tier(job.tier)
+            job.attempts.append(Attempt(
+                tier=rung.index, tier_name=rung.name, result="circuit-open",
+                detail=f"class {job.job_class!r} breaker open"))
+            return self._outcome(
+                job, STATUS_FAILED,
+                f"circuit breaker open for class {job.job_class!r} after "
+                f"{threshold} consecutive hard failures; last: {detail}")
+        if job.tier >= FLOOR_TIER:
+            return self._outcome(
+                job, STATUS_FAILED,
+                f"failed at floor tier {tier(job.tier).name}: {detail}")
+        job.tier += 1
+        job.pending_backoff_s = self.backoff_delay(job.backoff_key,
+                                                   len(job.attempts))
+        return None
+
+    def backoff_delay(self, key: str, failures: int) -> float:
+        """Seeded, jittered exponential backoff before the attempt that
+        follows ``failures`` failed ones.
+
+        A pure function of (seed, ``key``, ``failures``): independent of
+        scheduling order and of resume points, which is what keeps batch
+        journals byte-identical across interruptions.
+        """
+        options = self.options
+        rng = random.Random((zlib.crc32(key.encode()) << 17)
+                            ^ (failures * 7919) ^ options.seed)
+        delay = options.backoff_base_s * (options.backoff_factor
+                                          ** max(0, failures - 1))
+        delay *= 1.0 + options.backoff_jitter * rng.random()
+        return min(delay, options.backoff_max_s)
+
+    @staticmethod
+    def _attempt(job: PolicyJob, result: str, detail: str = "",
+                 context: Optional[dict] = None) -> None:
+        rung = tier(job.tier)
+        job.attempts.append(Attempt(
+            tier=rung.index, tier_name=rung.name, result=result,
+            detail=detail, backoff_s=job.pending_backoff_s,
+            context=dict(context or {})))
+
+    @staticmethod
+    def _outcome(job: PolicyJob, status: str, reason: str,
+                 counts: Optional[dict] = None,
+                 context: Optional[dict] = None) -> JobOutcome:
+        rung = tier(job.tier)
+        return JobOutcome(job=job.name, status=status, tier=rung.index,
+                          tier_name=rung.name, reason=reason,
+                          attempts=tuple(job.attempts),
+                          counts=dict(counts or {}),
+                          context=dict(context or {}))

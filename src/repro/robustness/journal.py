@@ -1,18 +1,23 @@
-"""The batch supervisor's write-ahead journal.
+"""The write-ahead journals of ``icbe batch`` and ``icbe serve``.
 
-One line of canonical JSON per event, appended and **fsynced** before
-the supervisor acts on the event — so any interruption, including
-SIGKILL between two bytes, loses at most the line being written.  The
-file is ``journal.jsonl`` inside the run directory.
+:class:`JsonlJournal` is the one journal discipline both hosts share:
+one line of canonical JSON per event, appended and **fsynced** before
+the host acts on the event — so any interruption, including SIGKILL
+between two bytes, loses at most the line being written.  The first
+line is a ``meta`` record (schema version plus the host's
+configuration); a reopened journal must match it.  Recovery reads the
+records back, reports a torn final line (the SIGKILL-mid-write case)
+and truncates it before appending resumes.
 
-Record types:
+:class:`Journal` is the batch supervisor's: ``journal.jsonl`` inside
+the run directory, holding
 
-- ``meta`` — exactly one, the first line: schema version, batch seed,
-  the ordered *complete* job definitions (sources, chaos injections,
-  fault plans — so ``--resume`` replays exactly the interrupted batch),
-  and the deterministic option fingerprint.  A resume refuses a journal
-  whose meta does not match the resumed invocation (different jobs or
-  seed would silently mix two batches).
+- ``meta`` — schema version, batch seed, the ordered *complete* job
+  definitions (sources, chaos injections, fault plans — so ``--resume``
+  replays exactly the interrupted batch), and the deterministic option
+  fingerprint.  A resume refuses a journal whose meta does not match
+  the resumed invocation (different jobs or seed would silently mix two
+  batches).
 - ``job`` — one per *completed* job, in job-index order: the job's
   definite :class:`~repro.robustness.degrade.JobOutcome`.
 
@@ -24,9 +29,8 @@ when workers run in parallel.  Hence an interrupted run finished with
 run: the completed prefix is already on disk and the replayed suffix
 re-derives the same bytes.
 
-Recovery: :meth:`Journal.recover` tolerates a torn final line (the
-SIGKILL-mid-write case) by truncating the file back to the last valid
-record before appending resumes.
+The serve daemon's journal (:mod:`repro.serve.journal`) is the other
+:class:`JsonlJournal`.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Type
 
-from repro.errors import SupervisorError
+from repro import obs
+from repro.errors import ReproError, SupervisorError
 from repro.robustness.degrade import JobOutcome
 from repro.utils import durafs
 
@@ -52,32 +57,57 @@ def canonical_json(record: dict) -> str:
 
 
 @dataclass
-class RecoveredJournal:
-    """What :meth:`Journal.recover` found on disk."""
+class Recovered:
+    """What recovery read back from a journal.  Each journal's subclass
+    folds its record types into its own view (:meth:`take`)."""
 
     meta: Optional[dict] = None
-    #: job-index -> outcome, for every completed job on disk.
-    completed: Dict[int, JobOutcome] = field(default_factory=dict)
     #: Bytes of the valid prefix (the torn tail, if any, is past this).
     valid_bytes: int = 0
     torn_tail: bool = False
 
+    def take(self, record: dict) -> None:
+        """Fold one non-meta record into the view.  Raises
+        ``KeyError``/``TypeError``/``ValueError`` for a record that is
+        not well formed."""
+        raise NotImplementedError
 
-class Journal:
-    """Append-only, fsynced journal of one batch run.
+    @staticmethod
+    def require(record: dict, **types: type) -> None:
+        """Raise unless ``record`` has each named field, of its type."""
+        for name, kind in types.items():
+            if not isinstance(record[name], kind):
+                raise TypeError(f"field {name!r} is not a {kind.__name__}")
 
-    All writes route through :mod:`repro.utils.durafs` (site
-    ``batch.journal``).  A write-side failure — ENOSPC on the append,
-    EIO on the fsync — is a *definite* operator error: the write-ahead
-    contract is void without durability, so the append raises
-    :class:`~repro.errors.SupervisorError` with structured errno/path
-    context rather than limping on with an unjournaled batch.
+
+class JsonlJournal:
+    """Append-only, fsynced JSONL journal whose first line is ``meta``.
+
+    Subclasses name the file, its durafs fault site, the schema
+    version, the record types that may follow the meta line, the meta
+    fields (and their types) a reopen must match, and the host's error
+    type.  All writes
+    route through :mod:`repro.utils.durafs`.  A write-side failure —
+    ENOSPC on the append, EIO on the fsync — voids the write-ahead
+    contract, so the append raises the host's error with structured
+    errno/path context rather than limping on unjournaled.
     """
+
+    FILE_NAME = ""
+    FS_SITE = ""
+    SCHEMA = 0
+    KINDS: Tuple[str, ...] = ()
+    META_FIELDS: Dict[str, type] = {}
+    ERROR: Type[ReproError] = ReproError
+    #: Opens the message of a refused reopen.
+    REFUSAL = ""
+    #: What the operator can do after a failed write.
+    WRITE_HINT = ""
 
     def __init__(self, run_dir: str,
                  fs: Optional["durafs.Filesystem"] = None) -> None:
         self.run_dir = run_dir
-        self.path = os.path.join(run_dir, JOURNAL_NAME)
+        self.path = os.path.join(run_dir, self.FILE_NAME)
         self.fs = durafs.resolve_fs(fs)
         self._handle: Optional[durafs.AppendFile] = None
 
@@ -86,33 +116,29 @@ class Journal:
     def open_fresh(self, meta: dict) -> None:
         """Start a new journal, writing the ``meta`` header record."""
         os.makedirs(self.run_dir, exist_ok=True)
-        self._handle = durafs.AppendFile(self.path, site=SITE, fs=self.fs,
-                                         fresh=True)
-        self._append({"type": "meta", "version": SCHEMA_VERSION, **meta})
+        self._handle = durafs.AppendFile(self.path, site=self.FS_SITE,
+                                         fs=self.fs, fresh=True)
+        self.append({"type": "meta", "version": self.SCHEMA, **meta})
 
-    def open_resume(self, recovered: RecoveredJournal) -> None:
-        """Reopen for appending after :meth:`recover`, dropping any torn
-        tail so the next record starts on a clean line boundary."""
+    def open_recovered(self, recovered: Recovered, meta: dict) -> None:
+        """Reopen for appending after recovery: refuse a journal written
+        under another configuration, then drop any torn tail so the next
+        record starts on a clean line boundary."""
+        self.check_meta(recovered, meta)
         if recovered.torn_tail:
-            self.fs.truncate_file(self.path, recovered.valid_bytes, SITE)
-        self._handle = durafs.AppendFile(self.path, site=SITE, fs=self.fs)
+            self.fs.truncate_file(self.path, recovered.valid_bytes,
+                                  self.FS_SITE)
+        self._handle = durafs.AppendFile(self.path, site=self.FS_SITE,
+                                         fs=self.fs)
 
-    def append_job(self, index: int, outcome: JobOutcome) -> None:
-        """Journal one completed job (write-ahead: fsynced before the
-        supervisor reports or schedules anything based on it)."""
-        self._append({"type": "job", "index": index,
-                      "outcome": outcome.to_json()})
-
-    def _append(self, record: dict) -> None:
-        from repro import obs
+    def append(self, record: dict) -> None:
+        """Append one record, fsynced before this returns."""
         assert self._handle is not None, "journal is not open"
         try:
             self._handle.append(canonical_json(record) + "\n")
         except OSError as failure:
-            raise SupervisorError(
-                f"journal write failed: {failure} "
-                f"(the write-ahead contract requires durable appends; "
-                f"free space or choose another --run-dir, then --resume)",
+            raise self.ERROR(
+                f"journal write failed: {failure} ({self.WRITE_HINT})",
                 errno=int(failure.errno or 0), path=self.path,
                 record_type=str(record.get("type"))) from failure
         obs.add("journal.fsyncs")
@@ -125,23 +151,42 @@ class Journal:
     # -- recovery ----------------------------------------------------------
 
     @classmethod
-    def recover(cls, run_dir: str) -> RecoveredJournal:
-        """Read back every valid record from ``run_dir``'s journal.
+    def check_meta(cls, recovered: Recovered, meta: dict) -> None:
+        """Refuse a journal whose meta differs from ``meta`` in any of
+        :attr:`META_FIELDS`, or whose schema is not this one."""
+        on_disk = recovered.meta or {}
+        for key in cls.META_FIELDS:
+            if on_disk.get(key) != meta.get(key):
+                raise cls.ERROR(
+                    f"{cls.REFUSAL}: journal {key} mismatch "
+                    f"({on_disk.get(key)!r} on disk vs {meta.get(key)!r} "
+                    f"requested)",
+                    key=key, on_disk=repr(on_disk.get(key)),
+                    requested=repr(meta.get(key)))
+        if on_disk.get("version") != cls.SCHEMA:
+            raise cls.ERROR(
+                f"{cls.REFUSAL}: journal schema v{on_disk.get('version')} "
+                f"!= v{cls.SCHEMA}",
+                on_disk_version=on_disk.get("version"))
 
-        Unparseable *final* lines are reported as a torn tail (the
-        expected SIGKILL artifact); an unparseable line followed by more
-        data means real corruption and raises
-        :class:`~repro.errors.SupervisorError`.
+    @classmethod
+    def read_into(cls, run_dir: str, recovered: Recovered) -> bool:
+        """Fold the journal in ``run_dir`` into ``recovered``; False
+        when there is none.
+
+        An undecodable *final* line is reported as a torn tail (the
+        expected SIGKILL artifact).  Every other line that is not a
+        record — undecodable with data after it, not a JSON object, of
+        an unknown type, or missing a field its type needs (a meta
+        record needs :attr:`META_FIELDS`) — is real corruption and
+        raises the host's error.
         """
-        path = os.path.join(run_dir, JOURNAL_NAME)
+        path = os.path.join(run_dir, cls.FILE_NAME)
         if not os.path.exists(path):
-            raise SupervisorError(
-                f"no journal to resume at {path}", path=path)
-        recovered = RecoveredJournal()
+            return False
         with open(path, "rb") as handle:
-            raw = handle.read()
+            lines = handle.read().split(b"\n")
         offset = 0
-        lines = raw.split(b"\n")
         for position, line in enumerate(lines):
             if line == b"":
                 offset += 1
@@ -150,49 +195,83 @@ class Journal:
                 record = json.loads(line.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 if any(rest.strip() for rest in lines[position + 1:]):
-                    raise SupervisorError(
-                        f"corrupt journal record at byte {offset} of {path}",
-                        path=path, offset=offset)
+                    raise cls._corrupt(path, offset)
                 recovered.torn_tail = True
                 break
-            recovered.valid_bytes = offset + len(line) + 1
-            offset = recovered.valid_bytes
+            if not isinstance(record, dict):
+                raise cls._corrupt(path, offset)
             kind = record.get("type")
-            if kind == "meta":
-                if recovered.meta is not None:
-                    raise SupervisorError(
-                        f"duplicate meta record in {path}", path=path)
-                recovered.meta = record
-            elif kind == "job":
-                recovered.completed[record["index"]] = (
-                    JobOutcome.from_json(record["outcome"]))
-            else:
-                raise SupervisorError(
+            if kind == "meta" and recovered.meta is not None:
+                raise cls.ERROR(f"duplicate meta record in {path}",
+                                path=path)
+            if kind != "meta" and kind not in cls.KINDS:
+                raise cls.ERROR(
                     f"unknown journal record type {kind!r} in {path}",
                     path=path, record_type=str(kind))
+            try:
+                if kind == "meta":
+                    recovered.require(record, **cls.META_FIELDS)
+                    recovered.meta = record
+                else:
+                    recovered.take(record)
+            except (KeyError, TypeError, ValueError) as malformed:
+                raise cls._corrupt(path, offset) from malformed
+            offset = recovered.valid_bytes = offset + len(line) + 1
         if recovered.meta is None:
-            raise SupervisorError(
-                f"journal {path} has no meta record", path=path)
+            raise cls.ERROR(f"journal {path} has no meta record", path=path)
+        return True
+
+    @classmethod
+    def _corrupt(cls, path: str, offset: int) -> ReproError:
+        return cls.ERROR(f"corrupt journal record at byte {offset} of {path}",
+                         path=path, offset=offset)
+
+
+@dataclass
+class RecoveredJournal(Recovered):
+    """What :meth:`Journal.recover` found on disk."""
+
+    #: job-index -> outcome, for every completed job on disk.
+    completed: Dict[int, JobOutcome] = field(default_factory=dict)
+
+    def take(self, record: dict) -> None:
+        self.require(record, index=int, outcome=dict)
+        self.completed[record["index"]] = (
+            JobOutcome.from_json(record["outcome"]))
+
+
+class Journal(JsonlJournal):
+    """Append-only, fsynced journal of one batch run (durafs site
+    ``batch.journal``); a failed write raises
+    :class:`~repro.errors.SupervisorError`."""
+
+    FILE_NAME = JOURNAL_NAME
+    FS_SITE = SITE
+    SCHEMA = SCHEMA_VERSION
+    KINDS = ("job",)
+    META_FIELDS = {"seed": int, "jobs": list, "options": dict}
+    ERROR = SupervisorError
+    REFUSAL = "cannot resume"
+    WRITE_HINT = ("the write-ahead contract requires durable appends; "
+                  "free space or choose another --run-dir, then --resume")
+
+    @classmethod
+    def recover(cls, run_dir: str) -> RecoveredJournal:
+        """Read back every valid record from ``run_dir``'s journal;
+        raises :class:`~repro.errors.SupervisorError` when there is
+        none, or when it is corrupt."""
+        recovered = RecoveredJournal()
+        if not cls.read_into(run_dir, recovered):
+            path = os.path.join(run_dir, JOURNAL_NAME)
+            raise SupervisorError(f"no journal to resume at {path}",
+                                  path=path)
         return recovered
 
-    @staticmethod
-    def check_meta(recovered: RecoveredJournal, meta: dict) -> None:
-        """Refuse to resume a journal that belongs to another batch."""
-        assert recovered.meta is not None
-        on_disk = recovered.meta
-        for key in ("seed", "jobs", "options"):
-            if on_disk.get(key) != meta.get(key):
-                raise SupervisorError(
-                    f"cannot resume: journal {key} mismatch "
-                    f"({on_disk.get(key)!r} on disk vs {meta.get(key)!r} "
-                    f"requested)",
-                    key=key, on_disk=repr(on_disk.get(key)),
-                    requested=repr(meta.get(key)))
-        if on_disk.get("version") != SCHEMA_VERSION:
-            raise SupervisorError(
-                f"cannot resume: journal schema v{on_disk.get('version')} "
-                f"!= v{SCHEMA_VERSION}",
-                on_disk_version=on_disk.get("version"))
+    def append_job(self, index: int, outcome: JobOutcome) -> None:
+        """Journal one completed job (write-ahead: fsynced before the
+        supervisor reports or schedules anything based on it)."""
+        self.append({"type": "job", "index": index,
+                     "outcome": outcome.to_json()})
 
 
 def load_outcomes(run_dir: str) -> List[JobOutcome]:

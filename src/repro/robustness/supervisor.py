@@ -5,14 +5,15 @@ component: each job runs in an **isolated worker subprocess** (see
 :mod:`~repro.robustness.worker`) under a wall-clock timeout and an
 address-space cap, so one pathological input — a hang in the
 demand-driven analysis, a memory blow-up, a hard crash — costs exactly
-one attempt of one job.  Failed attempts retry down the
-graceful-degradation ladder (:mod:`~repro.robustness.degrade`) with
-seeded, jittered exponential backoff; a circuit breaker stops retrying
-a *job class* after K consecutive hard process deaths; and every
-completed job is fsynced into a write-ahead journal
-(:mod:`~repro.robustness.journal`) so an interrupted run — including
-SIGKILL mid-job — resumes with ``--resume``, skipping completed jobs
-and replaying in-flight ones.
+one attempt of one job.  What each attempt means — retry down the
+graceful-degradation ladder after a seeded, jittered backoff, or stop a
+*job class* whose circuit breaker opened — is decided by the shared
+:class:`~repro.robustness.degrade.JobPolicy`; this module runs and
+kills the workers and holds each job back until its backoff has passed
+on the monotonic clock.  Every completed job is fsynced into a
+write-ahead journal (:mod:`~repro.robustness.journal`) so an
+interrupted run — including SIGKILL mid-job — resumes with
+``--resume``, skipping completed jobs and replaying in-flight ones.
 
 Determinism contract: every piece of randomness (backoff jitter, chaos
 injection, differential workloads) derives from the single batch
@@ -27,11 +28,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import signal
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,12 +39,13 @@ import json
 from repro import obs
 from repro.errors import SupervisorDrained, SupervisorError
 from repro.robustness import degrade
-from repro.robustness.degrade import (Attempt, HARD_RESULTS, JobOutcome,
-                                      NON_RETRYABLE_ERRORS, STATUS_DEGRADED,
-                                      STATUS_FAILED, STATUS_OK)
+from repro.robustness.degrade import (Attempt, JobOutcome, JobPolicy,
+                                      STATUS_DEGRADED, STATUS_FAILED,
+                                      STATUS_OK)
 from repro.robustness.guards import DeadlineGuard
-from repro.robustness.journal import SCHEMA_VERSION, Journal
-from repro.robustness.worker import parse_job_source, run_attempt, worker_main
+from repro.robustness.journal import Journal
+from repro.robustness.worker import (attempt_spec, parse_job_source,
+                                     run_attempt, worker_main)
 from repro.utils import durafs
 
 REPORT_NAME = "report.txt"
@@ -247,7 +247,8 @@ class BatchReport:
 
 @dataclass
 class _JobState:
-    """Supervisor-side progress of one job."""
+    """Supervisor-side progress of one job: the
+    :class:`~repro.robustness.degrade.PolicyJob` the policy updates."""
 
     index: int
     spec: JobSpec
@@ -257,6 +258,18 @@ class _JobState:
     eligible_at: float = 0.0
     pending_backoff_s: float = 0.0
     outcome: Optional[JobOutcome] = None
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def job_class(self) -> str:
+        return self.spec.job_class
+
+    @property
+    def backoff_key(self) -> str:
+        return f"{self.index}:{self.spec.source}"
 
     @property
     def done(self) -> bool:
@@ -288,8 +301,7 @@ class BatchSupervisor:
         self.options = options or SupervisorOptions()
         self.resume = resume
         self.journal = Journal(run_dir)
-        self._breaker: Dict[str, int] = {}
-        self._breaker_open: Dict[str, str] = {}
+        self.policy = JobPolicy(self.options)
         #: Set by the SIGTERM/SIGINT handler; checked between launches.
         self._drain_signum = 0
 
@@ -338,7 +350,7 @@ class BatchSupervisor:
                 signum=self._drain_signum,
                 completed=done, total=len(states), run_dir=self.run_dir)
         report.outcomes = [s.outcome for s in states]
-        report.breaker_opened = sorted(self._breaker_open)
+        report.breaker_opened = sorted(self.policy.open)
         report.wall_s = time.monotonic() - started
         for outcome in report.outcomes:
             obs.add(f"batch.status.{outcome.status.lower()}")
@@ -398,9 +410,7 @@ class BatchSupervisor:
             if not self.jobs:
                 self.jobs = [JobSpec.from_json(data)
                              for data in recovered.meta["jobs"]]
-            Journal.check_meta(recovered, {"version": SCHEMA_VERSION,
-                                           **self._meta()})
-            self.journal.open_resume(recovered)
+            self.journal.open_recovered(recovered, self._meta())
             completed = recovered.completed
         else:
             self.journal.open_fresh(self._meta())
@@ -515,25 +525,12 @@ class BatchSupervisor:
         return _Running(state, process, result_path, deadline)
 
     def _attempt_spec(self, state: _JobState) -> dict:
-        opts = self.options
-        return {"job": state.spec.source,
-                "tier": state.tier,
-                "budget": opts.budget,
-                "duplication_limit": opts.duplication_limit,
-                "diff_check": opts.diff_check,
-                "diff_seed": self._derived_seed(state.spec.source, "diff"),
-                "conditional_deadline_s": opts.conditional_deadline_s,
-                "timeout_s": opts.timeout_s,
-                "memory_mb": opts.memory_mb,
-                "inject": state.spec.inject,
-                "faults": list(state.spec.faults),
-                "strict": state.spec.strict,
-                # Workers trace only when the supervisor itself runs
-                # under an observability session (their spans get
-                # adopted back into it on collection).
-                "trace": obs.enabled()}
+        spec = state.spec
+        return attempt_spec(self.options, spec.source, state.tier,
+                            spec.source, inject=spec.inject,
+                            faults=spec.faults, strict=spec.strict)
 
-    # -- attempt classification & the ladder -------------------------------
+    # -- attempt classification -------------------------------------------
 
     def _collect(self, worker: _Running) -> None:
         """Turn one finished/killed worker into an attempt verdict."""
@@ -555,16 +552,13 @@ class BatchSupervisor:
             result, detail = "crash", f"worker exited with code {exitcode}"
         else:
             result, detail = "no-result", "worker exited without a result"
-        before = len(worker.state.attempts)
-        self._record_failure(worker.state, result, detail)
+        state = worker.state
+        before = len(state.attempts)
+        self._conclude(state, self.policy.fail(state, result, detail))
         # A hard death leaves no worker-side telemetry; the supervisor's
         # own wall clock for the attempt is the best available account.
-        attempt = (worker.state.attempts[before]
-                   if len(worker.state.attempts) > before else None)
-        self._note_telemetry(worker.state, attempt, before,
-                             wall_s=elapsed_s, peak_rss_kb=0)
-        self._record_attempt_span(worker.state, attempt, elapsed_s,
-                                  spans=None, metrics=None)
+        self._note_attempt(state, before, wall_s=elapsed_s, peak_rss_kb=0,
+                           span_wall_s=elapsed_s)
 
     @staticmethod
     def _read_result(result_path: str) -> Optional[dict]:
@@ -595,114 +589,40 @@ class BatchSupervisor:
         spans = payload.pop("spans", None)
         metrics = payload.pop("metrics", None)
         before = len(state.attempts)
-        self._dispatch_structured(state, payload)
-        attempt = (state.attempts[before]
-                   if len(state.attempts) > before else None)
+        self._conclude(state, self.policy.settle(state, payload))
         wall_s = float(telemetry.get("wall_s", supervisor_wall_s or 0.0))
-        self._note_telemetry(state, attempt, before, wall_s=wall_s,
-                             peak_rss_kb=int(telemetry.get("peak_rss_kb", 0)))
-        if supervisor_wall_s is not None:
-            self._record_attempt_span(state, attempt, supervisor_wall_s,
-                                      spans=spans, metrics=metrics)
+        self._note_attempt(state, before, wall_s=wall_s,
+                           peak_rss_kb=int(telemetry.get("peak_rss_kb", 0)),
+                           span_wall_s=supervisor_wall_s, spans=spans,
+                           metrics=metrics)
 
-    def _dispatch_structured(self, state: _JobState, payload: dict) -> None:
-        """Classify one structured (non-hard-death) worker payload."""
-        tier = degrade.tier(state.tier)
-        if payload.get("ok"):
-            state.attempts.append(Attempt(
-                tier=tier.index, tier_name=tier.name, result="ok",
-                backoff_s=state.pending_backoff_s))
-            self._breaker_success(state.spec.job_class)
-            self._finalize_success(state, payload.get("counts") or {})
-            return
-        kind = payload.get("kind", "error")
-        detail = f"{payload.get('error')}: {payload.get('message')}"
-        if (kind == "load-error"
-                or payload.get("error") in NON_RETRYABLE_ERRORS):
-            context = dict(payload.get("context") or {})
-            state.attempts.append(Attempt(
-                tier=tier.index, tier_name=tier.name, result="error",
-                detail=detail, backoff_s=state.pending_backoff_s,
-                context=context))
-            self._finalize_failed(state, f"non-retryable: {detail}",
-                                  context=context)
-            return
-        self._record_failure(state, kind, detail)
-
-    def _record_failure(self, state: _JobState, result: str,
-                        detail: str) -> None:
-        """One failed attempt: breaker accounting, then descend or fail."""
-        tier = degrade.tier(state.tier)
-        state.attempts.append(Attempt(
-            tier=tier.index, tier_name=tier.name, result=result,
-            detail=detail, backoff_s=state.pending_backoff_s))
-        job_class = state.spec.job_class
-        if result in HARD_RESULTS:
-            self._breaker[job_class] = self._breaker.get(job_class, 0) + 1
-            if (job_class not in self._breaker_open
-                    and self._breaker[job_class]
-                    >= self.options.breaker_threshold):
-                self._breaker_open[job_class] = detail
-        if job_class in self._breaker_open:
-            state.attempts.append(Attempt(
-                tier=tier.index, tier_name=tier.name, result="circuit-open",
-                detail=f"class {job_class!r} breaker open"))
-            self._finalize_failed(
-                state,
-                f"circuit breaker open for class {job_class!r} after "
-                f"{self.options.breaker_threshold} consecutive hard "
-                f"failures; last: {detail}")
-            return
-        if state.tier >= degrade.FLOOR_TIER:
-            self._finalize_failed(
-                state, f"failed at floor tier "
-                       f"{degrade.tier(state.tier).name}: {detail}")
-            return
-        state.tier += 1
-        delay = self._backoff_delay(state)
-        state.pending_backoff_s = delay
-        state.eligible_at = time.monotonic() + delay
-
-    def _backoff_delay(self, state: _JobState) -> float:
-        """Seeded, jittered exponential backoff for the *next* attempt.
-
-        Derived purely from (batch seed, job identity, attempt number):
-        independent of scheduling order and of resume points, which is
-        what keeps journals byte-identical across interruptions.
-        """
-        opts = self.options
-        failures = len(state.attempts)
-        key = f"{state.index}:{state.spec.source}"
-        rng = random.Random((zlib.crc32(key.encode()) << 17)
-                            ^ (failures * 7919) ^ opts.seed)
-        delay = opts.backoff_base_s * (opts.backoff_factor
-                                       ** max(0, failures - 1))
-        delay *= 1.0 + opts.backoff_jitter * rng.random()
-        return min(delay, opts.backoff_max_s)
-
-    def _derived_seed(self, source: str, purpose: str) -> int:
-        return (zlib.crc32(f"{purpose}:{source}".encode())
-                ^ self.options.seed) & 0x7FFFFFFF
-
-    def _breaker_success(self, job_class: str) -> None:
-        self._breaker[job_class] = 0
+    def _conclude(self, state: _JobState,
+                  outcome: Optional[JobOutcome]) -> None:
+        """Take the policy's verdict on ``state``'s latest attempt: its
+        definite outcome, or the instant its backoff ends."""
+        if outcome is None:
+            state.eligible_at = time.monotonic() + state.pending_backoff_s
+        else:
+            state.outcome = outcome
 
     # -- observability accounting (never affects outcomes) -----------------
 
-    def _note_telemetry(self, state: _JobState, attempt: Optional[Attempt],
-                        attempt_index: int, wall_s: float,
-                        peak_rss_kb: int) -> None:
+    def _note_attempt(self, state: _JobState, attempt_index: int,
+                      wall_s: float, peak_rss_kb: int,
+                      span_wall_s: Optional[float] = None, spans=None,
+                      metrics=None) -> None:
         """Record one attempt's measured wall time and peak RSS: on the
         in-memory :class:`Attempt`, in the report, and in the
-        ``telemetry.jsonl`` sidecar — never in the journal."""
-        if attempt is not None:
-            attempt.wall_s = wall_s
-            attempt.peak_rss_kb = peak_rss_kb
+        ``telemetry.jsonl`` sidecar — never in the journal.  A
+        subprocess attempt (``span_wall_s`` set) also becomes a
+        retroactive ``batch.attempt`` span in the supervisor's trace,
+        adopting the worker's own spans and metrics."""
+        attempt = state.attempts[attempt_index]
+        attempt.wall_s = wall_s
+        attempt.peak_rss_kb = peak_rss_kb
         record = {"job": state.spec.name, "index": state.index,
-                  "attempt": attempt_index,
-                  "tier": attempt.tier if attempt else state.tier,
-                  "result": attempt.result if attempt else "?",
-                  "wall_s": round(wall_s, 6),
+                  "attempt": attempt_index, "tier": attempt.tier,
+                  "result": attempt.result, "wall_s": round(wall_s, 6),
                   "peak_rss_kb": peak_rss_kb}
         self._report.telemetry.append(record)
         handle = getattr(self, "_telemetry_handle", None)
@@ -714,58 +634,13 @@ class BatchSupervisor:
                 handle.close()
                 self._telemetry_handle = None
         obs.add("batch.attempts")
+        if span_wall_s is not None:
+            obs.record_worker_span(
+                "batch.attempt", span_wall_s, spans, metrics,
+                origin=f"worker:{state.spec.name}", job=state.spec.name,
+                tier=attempt.tier, result=attempt.result)
 
-    def _record_attempt_span(self, state: _JobState,
-                             attempt: Optional[Attempt], wall_s: float,
-                             spans, metrics) -> None:
-        """Retroactively place a finished subprocess attempt into the
-        supervisor's trace, adopting the worker's own spans (id-remapped,
-        re-parented, clock-rebased) underneath it."""
-        session = obs.current()
-        if session is None:
-            return
-        tracer = session.tracer
-        end_s = tracer.now()
-        start_s = end_s - max(0.0, wall_s)
-        parent = (tracer.current.span_id
-                  if tracer.current is not None else 0)
-        span = tracer.record(
-            "batch.attempt", start_s, end_s, parent_id=parent,
-            job=state.spec.name,
-            tier=attempt.tier if attempt else state.tier,
-            result=attempt.result if attempt else "?")
-        if spans:
-            offset = start_s - min(r["start_s"] for r in spans)
-            tracer.adopt(spans, parent_id=span.span_id,
-                         clock_offset_s=offset,
-                         origin=f"worker:{state.spec.name}")
-        if metrics:
-            session.metrics.merge(metrics)
-
-    # -- outcomes & persistence -------------------------------------------
-
-    def _finalize_success(self, state: _JobState, counts: dict) -> None:
-        tier = degrade.tier(state.tier)
-        if tier.index == 0:
-            status, reason = STATUS_OK, ""
-        else:
-            status = STATUS_DEGRADED
-            first_failure = next((a for a in state.attempts
-                                  if a.result != "ok"), None)
-            reason = (f"{first_failure.result}: {first_failure.detail}"
-                      if first_failure else "degraded")
-        state.outcome = JobOutcome(
-            job=state.spec.name, status=status, tier=tier.index,
-            tier_name=tier.name, reason=reason,
-            attempts=tuple(state.attempts), counts=counts)
-
-    def _finalize_failed(self, state: _JobState, reason: str,
-                         context: Optional[dict] = None) -> None:
-        tier = degrade.tier(state.tier)
-        state.outcome = JobOutcome(
-            job=state.spec.name, status=STATUS_FAILED, tier=tier.index,
-            tier_name=tier.name, reason=reason,
-            attempts=tuple(state.attempts), context=dict(context or {}))
+    # -- persistence -------------------------------------------------------
 
     def _flush_journal(self) -> None:
         """Append finalized outcomes in job-index order, as soon as the

@@ -36,7 +36,8 @@ import os
 import signal
 import sys
 import time
-from typing import Optional, Tuple
+import zlib
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ReproError, error_context
@@ -190,6 +191,34 @@ def _peak_rss_kb() -> int:
     if sys.platform == "darwin":
         peak //= 1024
     return int(peak)
+
+
+def attempt_spec(options, job: str, tier: int, identity: str,
+                 inject: Optional[dict] = None, faults: Sequence[dict] = (),
+                 strict: bool = False) -> dict:
+    """The spec of one attempt of ``job`` at ``tier`` under a host's
+    options (a batch's ``SupervisorOptions`` or a daemon's
+    ``ServeOptions``).
+
+    ``identity`` and the host seed derive the attempt's differential
+    workloads, so a job draws the same inputs at every tier and across
+    resumes.  Workers trace only when the host itself runs under an
+    observability session, which adopts their spans back.
+    """
+    return {"job": job,
+            "tier": tier,
+            "budget": options.budget,
+            "duplication_limit": options.duplication_limit,
+            "diff_check": options.diff_check,
+            "diff_seed": (zlib.crc32(f"diff:{identity}".encode())
+                          ^ options.seed) & 0x7FFFFFFF,
+            "conditional_deadline_s": options.conditional_deadline_s,
+            "timeout_s": options.timeout_s,
+            "memory_mb": options.memory_mb,
+            "inject": inject,
+            "faults": list(faults),
+            "strict": strict,
+            "trace": obs.enabled()}
 
 
 def run_attempt(spec: dict) -> dict:

@@ -1,8 +1,7 @@
 """The serve daemon's write-ahead job journal.
 
-Same discipline as the batch supervisor's journal (one line of
-canonical JSON per event, fsynced before anyone depends on it), but
-shaped for a long-lived stream instead of a fixed batch:
+A :class:`~repro.robustness.journal.JsonlJournal`, like the batch
+supervisor's, shaped for a long-lived stream instead of a fixed batch:
 
 - ``meta`` — first line: schema version, seed, and the daemon's option
   fingerprint.  A restart on the same run directory refuses a journal
@@ -14,9 +13,7 @@ shaped for a long-lived stream instead of a fixed batch:
 - ``done`` — one per finished job: the definite terminal result.
 
 Recovery pairs submits with dones: a submit without a done is an
-interrupted job, re-queued by the restarted daemon.  A torn final line
-(SIGKILL mid-write) is truncated away, exactly as in
-:mod:`repro.robustness.journal`.
+interrupted job, re-queued by the restarted daemon.
 
 Timings never enter the journal; the serialized fields are pure
 functions of the submissions and the daemon's options, so tests can
@@ -25,14 +22,11 @@ compare journals structurally.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import obs
 from repro.errors import ServeError
-from repro.utils import durafs
+from repro.robustness.journal import JsonlJournal, Recovered
 
 JOURNAL_NAME = "serve-journal.jsonl"
 SCHEMA_VERSION = 1
@@ -40,21 +34,22 @@ SCHEMA_VERSION = 1
 SITE = "serve.journal"
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass
-class RecoveredServeJournal:
+class RecoveredServeJournal(Recovered):
     """What :meth:`ServeJournal.recover` found on disk."""
 
-    meta: Optional[dict] = None
     #: Every ``submit`` record, in admission order.
     submits: List[dict] = field(default_factory=list)
     #: job id -> terminal result payload.
     done: Dict[str, dict] = field(default_factory=dict)
-    valid_bytes: int = 0
-    torn_tail: bool = False
+
+    def take(self, record: dict) -> None:
+        if record["type"] == "submit":
+            self.require(record, id=str, job=str)
+            self.submits.append(record)
+        else:
+            self.require(record, id=str, result=dict)
+            self.done[record["id"]] = record["result"]
 
     @property
     def pending(self) -> List[dict]:
@@ -63,125 +58,32 @@ class RecoveredServeJournal:
                 if record["id"] not in self.done]
 
 
-class ServeJournal:
-    """Append-only, fsynced journal of one daemon's job stream.
+class ServeJournal(JsonlJournal):
+    """Append-only, fsynced journal of one daemon's job stream (durafs
+    site ``serve.journal``).  A failed append or fsync voids the
+    durability contract — the daemon must not hand out a 202 it cannot
+    honor — so it raises :class:`~repro.errors.ServeError`."""
 
-    All writes route through :mod:`repro.utils.durafs` (site
-    ``serve.journal``).  A failed append or fsync voids the durability
-    contract — the daemon must not hand out a 202 it cannot honor — so
-    write-side OSErrors surface as :class:`~repro.errors.ServeError`
-    with structured errno/path context.
-    """
-
-    def __init__(self, run_dir: str,
-                 fs: Optional["durafs.Filesystem"] = None) -> None:
-        self.run_dir = run_dir
-        self.path = os.path.join(run_dir, JOURNAL_NAME)
-        self.fs = durafs.resolve_fs(fs)
-        self._handle: Optional[durafs.AppendFile] = None
-
-    # -- writing -----------------------------------------------------------
-
-    def open_fresh(self, meta: dict) -> None:
-        os.makedirs(self.run_dir, exist_ok=True)
-        self._handle = durafs.AppendFile(self.path, site=SITE, fs=self.fs,
-                                         fresh=True)
-        self._append({"type": "meta", "version": SCHEMA_VERSION, **meta})
-
-    def open_recovered(self, recovered: RecoveredServeJournal,
-                       meta: dict) -> None:
-        """Resume appending after :meth:`recover`, dropping a torn tail
-        and refusing a journal from a differently-configured daemon."""
-        assert recovered.meta is not None
-        for key in ("fingerprint", "seed"):
-            if recovered.meta.get(key) != meta.get(key):
-                raise ServeError(
-                    f"cannot reuse run dir: journal {key} mismatch "
-                    f"({recovered.meta.get(key)!r} on disk vs "
-                    f"{meta.get(key)!r} configured)",
-                    key=key)
-        if recovered.meta.get("version") != SCHEMA_VERSION:
-            raise ServeError(
-                f"cannot reuse run dir: journal schema "
-                f"v{recovered.meta.get('version')} != v{SCHEMA_VERSION}")
-        if recovered.torn_tail:
-            self.fs.truncate_file(self.path, recovered.valid_bytes, SITE)
-        self._handle = durafs.AppendFile(self.path, site=SITE, fs=self.fs)
-
-    def append_submit(self, record: dict) -> None:
-        """Journal one admission (fsynced before the 202 goes out)."""
-        self._append({"type": "submit", **record})
-
-    def append_done(self, job_id: str, result: dict) -> None:
-        """Journal one definite terminal result."""
-        self._append({"type": "done", "id": job_id, "result": result})
-
-    def _append(self, record: dict) -> None:
-        assert self._handle is not None, "serve journal is not open"
-        try:
-            self._handle.append(_canonical(record) + "\n")
-        except OSError as failure:
-            raise ServeError(
-                f"serve journal write failed: {failure} "
-                f"(jobs are only admitted once journaled; free space or "
-                f"restart with another --run-dir)",
-                errno=int(failure.errno or 0), path=self.path,
-                record_type=str(record.get("type"))) from failure
-        obs.add("journal.fsyncs")
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    # -- recovery ----------------------------------------------------------
+    FILE_NAME = JOURNAL_NAME
+    FS_SITE = SITE
+    SCHEMA = SCHEMA_VERSION
+    KINDS = ("submit", "done")
+    META_FIELDS = {"fingerprint": dict, "seed": int}
+    ERROR = ServeError
+    REFUSAL = "cannot reuse run dir"
+    WRITE_HINT = ("jobs are only admitted once journaled; free space or "
+                  "restart with another --run-dir")
 
     @classmethod
     def recover(cls, run_dir: str) -> Optional[RecoveredServeJournal]:
-        """Read back the journal, or None when the directory is fresh.
-
-        Tolerates a torn final line; an unparseable line *followed by
-        more data* is real corruption and raises
-        :class:`~repro.errors.ServeError`.
-        """
-        path = os.path.join(run_dir, JOURNAL_NAME)
-        if not os.path.exists(path):
-            return None
+        """Read back the journal, or None when the directory is fresh."""
         recovered = RecoveredServeJournal()
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        offset = 0
-        lines = raw.split(b"\n")
-        for position, line in enumerate(lines):
-            if line == b"":
-                offset += 1
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                if any(rest.strip() for rest in lines[position + 1:]):
-                    raise ServeError(
-                        f"corrupt serve journal at byte {offset} of {path}",
-                        path=path, offset=offset)
-                recovered.torn_tail = True
-                break
-            recovered.valid_bytes = offset + len(line) + 1
-            offset = recovered.valid_bytes
-            kind = record.get("type")
-            if kind == "meta":
-                if recovered.meta is not None:
-                    raise ServeError(f"duplicate meta record in {path}",
-                                     path=path)
-                recovered.meta = record
-            elif kind == "submit":
-                recovered.submits.append(record)
-            elif kind == "done":
-                recovered.done[record["id"]] = record.get("result", {})
-            else:
-                raise ServeError(
-                    f"unknown serve journal record type {kind!r}",
-                    path=path, record_type=str(kind))
-        if recovered.meta is None:
-            raise ServeError(f"serve journal {path} has no meta record",
-                             path=path)
-        return recovered
+        return recovered if cls.read_into(run_dir, recovered) else None
+
+    def append_submit(self, record: dict) -> None:
+        """Journal one admission (fsynced before the 202 goes out)."""
+        self.append({"type": "submit", **record})
+
+    def append_done(self, job_id: str, result: dict) -> None:
+        """Journal one definite terminal result."""
+        self.append({"type": "done", "id": job_id, "result": result})

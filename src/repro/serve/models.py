@@ -3,8 +3,9 @@
 A :class:`JobRecord` is the daemon's in-memory account of one admitted
 submission, from admission through queueing, attempts down the
 degradation ladder, to a definite terminal result — the serve-side
-analogue of the batch supervisor's ``_JobState`` + ``JobOutcome`` pair,
-with asyncio wakeups bolted on for pollers and streamers.
+analogue of the batch supervisor's ``_JobState``, and like it the
+:class:`~repro.robustness.degrade.PolicyJob` the shared job policy
+updates, with asyncio wakeups bolted on for pollers and streamers.
 
 States are deliberately few::
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.robustness.degrade import Attempt
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
@@ -48,8 +51,10 @@ class JobRecord:
 
     state: str = JOB_QUEUED
     tier: int = 0
-    #: One entry per finished attempt: {tier, tier_name, result, detail}.
-    attempts: List[dict] = field(default_factory=list)
+    #: One entry per finished attempt, as the job policy recorded it.
+    attempts: List[Attempt] = field(default_factory=list)
+    #: The backoff waited before the next attempt (set by the policy).
+    pending_backoff_s: float = 0.0
     #: The definite terminal payload (status/tier/reason/counts/cached).
     result: Optional[dict] = None
     #: Jobs with the same key admitted while this one was in flight;
@@ -104,6 +109,10 @@ class JobRecord:
     def terminal(self) -> bool:
         return self.state == JOB_DONE
 
+    @property
+    def backoff_key(self) -> str:
+        return self.key
+
     def finish(self, result: dict) -> None:
         """Move to the terminal state exactly once."""
         assert not self.terminal, f"job {self.id} finished twice"
@@ -116,7 +125,8 @@ class JobRecord:
         record: Dict[str, Any] = {
             "id": self.id, "name": self.name, "class": self.job_class,
             "key": self.key, "state": self.state, "tier": self.tier,
-            "priority": self.priority, "attempts": list(self.attempts),
+            "priority": self.priority,
+            "attempts": [attempt.to_json() for attempt in self.attempts],
         }
         if self.result is not None:
             record["result"] = dict(self.result)

@@ -25,28 +25,27 @@ The lifecycle of one submission::
       worker death  -> breaker accounting, ladder descent, respawn
       deadline hit  -> FAILED (queued: dequeued; running: worker killed)
 
-Failure semantics deliberately mirror the batch supervisor
-(:mod:`repro.robustness.supervisor`): the same ladder
-(:data:`repro.robustness.degrade.LADDER`), the same hard-result set
-feeding the same per-class breaker, the same seeded jittered backoff —
-so a program that degrades to tier 2 under ``icbe batch`` degrades to
-tier 2 under ``icbe serve``.
+Failure semantics are the batch supervisor's
+(:mod:`repro.robustness.supervisor`), because both run the same
+:class:`~repro.robustness.degrade.JobPolicy`: the same ladder, the same
+per-class breaker, the same seeded jittered backoff — so a program
+that degrades to tier 2 under ``icbe batch`` degrades to tier 2 under
+``icbe serve``.  The service waits out a backoff with
+``loop.call_later`` and then requeues the job.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import random
-import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import ReproError, ServeError, error_context
+from repro.errors import ReproError, error_context
 from repro.robustness import degrade
-from repro.robustness.degrade import (HARD_RESULTS, NON_RETRYABLE_ERRORS,
-                                      STATUS_DEGRADED, STATUS_FAILED,
+from repro.robustness.degrade import (JobOutcome, JobPolicy, STATUS_FAILED,
                                       STATUS_OK)
+from repro.robustness.worker import attempt_spec
 from repro.serve.cache import ResultCache, resolve_submission
 from repro.serve.config import ServeOptions
 from repro.serve.journal import ServeJournal
@@ -78,8 +77,9 @@ class OptimizationService:
         self.drained = asyncio.Event()
         self._work = asyncio.Event()
         self._job_seq = 0
-        self._breaker: Dict[str, int] = {}
-        self._breaker_open: Dict[str, str] = {}
+        self.policy = JobPolicy(options)
+        #: Breakers seen open so far (``serve.breaker.opened``).
+        self._breakers_opened = 0
         self._recovered_jobs = 0
         self._completed = 0
         self._tasks: List[asyncio.Task] = []
@@ -273,27 +273,9 @@ class OptimizationService:
         job.state = JOB_RUNNING
         job.notify()
         obs.add("serve.attempts")
-        await self.pool.send_job(worker, job, self._attempt_spec(job))
-
-    def _attempt_spec(self, job: JobRecord) -> dict:
-        opts = self.options
-        return {"job": job.job_source,
-                "tier": job.tier,
-                "budget": opts.budget,
-                "duplication_limit": opts.duplication_limit,
-                "diff_check": opts.diff_check,
-                "diff_seed": self._derived_seed(job.key, "diff"),
-                "conditional_deadline_s": opts.conditional_deadline_s,
-                "timeout_s": opts.timeout_s,
-                "memory_mb": opts.memory_mb,
-                "inject": job.inject,
-                "faults": [],
-                "strict": False,
-                "trace": obs.enabled()}
-
-    def _derived_seed(self, key: str, purpose: str) -> int:
-        return (zlib.crc32(f"{purpose}:{key}".encode())
-                ^ self.options.seed) & 0x7FFFFFFF
+        await self.pool.send_job(worker, job, attempt_spec(
+            self.options, job.job_source, job.tier, job.key,
+            inject=job.inject))
 
     # -- pool callbacks ----------------------------------------------------
 
@@ -308,28 +290,14 @@ class OptimizationService:
         if job is None or job.terminal:
             obs.add("serve.result.late")
         else:
-            self._classify(job, payload)
-            self._record_attempt_span(job, telemetry, spans, metrics)
+            before = len(job.attempts)
+            self._conclude(job, self.policy.settle(job, payload))
+            attempt = job.attempts[before]
+            obs.record_worker_span(
+                "serve.attempt", float(telemetry.get("wall_s", 0.0)),
+                spans, metrics, origin=f"worker:{job.id}", job=job.name,
+                id=job.id, tier=attempt.tier, result=attempt.result)
         self._maybe_recycle(worker)
-
-    def _classify(self, job: JobRecord, payload: dict) -> None:
-        tier = degrade.tier(job.tier)
-        if payload.get("ok"):
-            job.attempts.append({"tier": tier.index,
-                                 "tier_name": tier.name, "result": "ok"})
-            self._breaker[job.job_class] = 0
-            self._finish_success(job, payload.get("counts") or {})
-            return
-        detail = f"{payload.get('error')}: {payload.get('message')}"
-        if (payload.get("kind") == "load-error"
-                or payload.get("error") in NON_RETRYABLE_ERRORS):
-            job.attempts.append({"tier": tier.index,
-                                 "tier_name": tier.name, "result": "error",
-                                 "detail": detail})
-            self._finish_failed(job, f"non-retryable: {detail}",
-                                context=payload.get("context") or {})
-            return
-        self._attempt_failed(job, payload.get("kind", "error"), detail)
 
     def _on_worker_exit(self, worker: WorkerHandle,
                         job: Optional[JobRecord], reason: str) -> None:
@@ -349,7 +317,7 @@ class OptimizationService:
                 else:
                     result, detail = "crash", (f"worker {worker.wid} exited "
                                                f"with code {code}")
-            self._attempt_failed(job, result, detail)
+            self._conclude(job, self.policy.fail(job, result, detail))
         if not self.draining:
             asyncio.get_event_loop().create_task(self._replenish())
 
@@ -372,40 +340,29 @@ class OptimizationService:
         obs.add("serve.worker.recycled")
         self.pool.request_shutdown(worker, f"recycle:{reason}")
 
-    # -- ladder / breaker / backoff ----------------------------------------
+    # -- outcomes ----------------------------------------------------------
 
-    def _attempt_failed(self, job: JobRecord, result: str,
-                        detail: str) -> None:
-        tier = degrade.tier(job.tier)
-        job.attempts.append({"tier": tier.index, "tier_name": tier.name,
-                             "result": result, "detail": detail})
-        if result in HARD_RESULTS:
-            count = self._breaker.get(job.job_class, 0) + 1
-            self._breaker[job.job_class] = count
-            if (job.job_class not in self._breaker_open
-                    and count >= self.options.breaker_threshold):
-                self._breaker_open[job.job_class] = detail
-                obs.add("serve.breaker.opened")
-        if job.job_class in self._breaker_open:
-            job.attempts.append({"tier": tier.index,
-                                 "tier_name": tier.name,
-                                 "result": "circuit-open",
-                                 "detail": f"class {job.job_class!r} "
-                                           f"breaker open"})
-            self._finish_failed(
-                job, f"circuit breaker open for class {job.job_class!r}; "
-                     f"last: {detail}")
+    def _conclude(self, job: JobRecord,
+                  outcome: Optional[JobOutcome]) -> None:
+        """Take the policy's verdict on ``job``'s latest attempt: finish
+        it, or requeue it one tier down once its backoff has passed."""
+        if len(self.policy.open) > self._breakers_opened:
+            self._breakers_opened = len(self.policy.open)
+            obs.add("serve.breaker.opened")
+        if outcome is None:
+            job.state = JOB_QUEUED
+            job.notify()
+            asyncio.get_event_loop().call_later(job.pending_backoff_s,
+                                                self._requeue, job)
             return
-        if job.tier >= degrade.FLOOR_TIER:
-            self._finish_failed(
-                job, f"failed at floor tier {tier.name}: {detail}")
-            return
-        job.tier += 1
-        job.state = JOB_QUEUED
-        job.notify()
-        delay = self._backoff_delay(job)
-        loop = asyncio.get_event_loop()
-        loop.call_later(delay, self._requeue, job)
+        result = {"status": outcome.status, "tier": outcome.tier,
+                  "tier_name": outcome.tier_name, "reason": outcome.reason,
+                  "counts": dict(outcome.counts), "key": job.key}
+        if outcome.context:
+            result["context"] = dict(outcome.context)
+        if outcome.status == STATUS_OK and job.inject is None:
+            self.cache.put(job.key, result)
+        self._finish(job, result)
 
     def _requeue(self, job: JobRecord) -> None:
         if job.terminal or self.drained.is_set():
@@ -413,44 +370,12 @@ class OptimizationService:
         self.queue.requeue(job)
         self._work.set()
 
-    def _backoff_delay(self, job: JobRecord) -> float:
-        opts = self.options
-        failures = len(job.attempts)
-        rng = random.Random((zlib.crc32(job.key.encode()) << 17)
-                            ^ (failures * 7919) ^ opts.seed)
-        delay = opts.backoff_base_s * (opts.backoff_factor
-                                       ** max(0, failures - 1))
-        delay *= 1.0 + opts.backoff_jitter * rng.random()
-        return min(delay, opts.backoff_max_s)
-
-    # -- outcomes ----------------------------------------------------------
-
-    def _finish_success(self, job: JobRecord, counts: dict) -> None:
-        tier = degrade.tier(job.tier)
-        if tier.index == 0:
-            status, reason = STATUS_OK, ""
-        else:
-            status = STATUS_DEGRADED
-            first = next((a for a in job.attempts
-                          if a["result"] != "ok"), None)
-            reason = (f"{first['result']}: {first.get('detail', '')}"
-                      if first else "degraded")
-        result = {"status": status, "tier": tier.index,
-                  "tier_name": tier.name, "reason": reason,
-                  "counts": dict(counts), "key": job.key}
-        if status == STATUS_OK and job.inject is None:
-            self.cache.put(job.key, result)
-        self._finish(job, result)
-
-    def _finish_failed(self, job: JobRecord, reason: str,
-                       context: Optional[dict] = None) -> None:
-        tier = degrade.tier(job.tier)
-        result = {"status": STATUS_FAILED, "tier": tier.index,
-                  "tier_name": tier.name, "reason": reason,
-                  "counts": {}, "key": job.key}
-        if context:
-            result["context"] = dict(context)
-        self._finish(job, result)
+    def _expire(self, job: JobRecord, reason: str) -> None:
+        """Fail ``job`` on its request deadline (no attempt of its own)."""
+        rung = degrade.tier(job.tier)
+        self._conclude(job, JobOutcome(
+            job=job.name, status=STATUS_FAILED, tier=rung.index,
+            tier_name=rung.name, reason=reason))
 
     def _finish(self, job: JobRecord, result: dict) -> None:
         self._completed += 1
@@ -484,14 +409,14 @@ class OptimizationService:
                 if job.state == JOB_QUEUED:
                     self.queue.remove(job)
                     obs.add("serve.deadline.queued")
-                    self._finish_failed(job, f"deadline exceeded after "
-                                             f"{job.deadline_s:g}s in queue")
+                    self._expire(job, f"deadline exceeded after "
+                                      f"{job.deadline_s:g}s in queue")
                 elif job.state == JOB_RUNNING:
                     worker = self.pool.by_job(job.id)
                     obs.add("serve.deadline.running")
-                    self._finish_failed(job, f"deadline exceeded after "
-                                             f"{job.deadline_s:g}s; attempt "
-                                             f"cancelled")
+                    self._expire(job, f"deadline exceeded after "
+                                      f"{job.deadline_s:g}s; attempt "
+                                      f"cancelled")
                     if worker is not None:
                         self.pool.kill(worker, "deadline")
             if self.draining:
@@ -507,30 +432,6 @@ class OptimizationService:
             if self.pool.live_count() < opts.workers:
                 await self.pool.ensure()
                 self._work.set()
-
-    # -- observability -----------------------------------------------------
-
-    def _record_attempt_span(self, job: JobRecord, telemetry: dict,
-                             spans, metrics) -> None:
-        session = obs.current()
-        if session is None:
-            return
-        tracer = session.tracer
-        end_s = tracer.now()
-        wall_s = float(telemetry.get("wall_s", 0.0))
-        start_s = end_s - max(0.0, wall_s)
-        last = job.attempts[-1] if job.attempts else {}
-        span = tracer.record("serve.attempt", start_s, end_s,
-                             job=job.name, id=job.id,
-                             tier=last.get("tier", job.tier),
-                             result=last.get("result", "?"))
-        if spans:
-            offset = start_s - min(r["start_s"] for r in spans)
-            tracer.adopt(spans, parent_id=span.span_id,
-                         clock_offset_s=offset,
-                         origin=f"worker:{job.id}")
-        if metrics:
-            session.metrics.merge(metrics)
 
     # -- introspection -----------------------------------------------------
 
@@ -553,8 +454,8 @@ class OptimizationService:
                      "recovered": self._recovered_jobs},
             "workers": self.pool.describe(),
             "cache": self.cache.stats(),
-            "breaker": {"open": dict(self._breaker_open),
-                        "counts": dict(self._breaker)},
+            "breaker": {"open": dict(self.policy.open),
+                        "counts": dict(self.policy.counts)},
         }
 
 

@@ -95,7 +95,7 @@ def _resume_batch(run_dir):
         journal.open_fresh(BATCH_META)
         completed = {}
     else:
-        journal.open_resume(recovered)
+        journal.open_recovered(recovered, BATCH_META)
         completed = recovered.completed
         for index, outcome in completed.items():
             assert outcome == BATCH_OUTCOMES[index]   # never a wrong record

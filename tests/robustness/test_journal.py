@@ -1,4 +1,4 @@
-"""The write-ahead journal: canonical bytes, recovery, torn tails."""
+"""The write-ahead journals: canonical bytes, recovery, torn tails."""
 
 import json
 import os
@@ -6,12 +6,13 @@ from unittest import mock
 
 import pytest
 
-from repro.errors import SupervisorError
+from repro.errors import ServeError, SupervisorError
 from repro.robustness.degrade import Attempt, JobOutcome
 from repro.robustness.journal import (JOURNAL_NAME, SCHEMA_VERSION, Journal,
                                       canonical_json, load_outcomes)
 from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
                                          SupervisorOptions)
+from repro.serve.journal import ServeJournal
 
 
 def _outcome(job="a.mc", status="OK", tier=0):
@@ -76,7 +77,7 @@ def test_torn_tail_is_tolerated_and_truncated(tmp_path):
     assert list(recovered.completed) == [0]
 
     journal = Journal(str(tmp_path))
-    journal.open_resume(recovered)
+    journal.open_recovered(recovered, _meta())
     journal.append_job(1, _outcome("b.mc"))
     journal.close()
     again = Journal.recover(str(tmp_path))
@@ -91,6 +92,49 @@ def test_mid_file_corruption_is_an_error(tmp_path):
         handle.write(lines[0] + b"{garbage\n" + lines[1])
     with pytest.raises(SupervisorError, match="corrupt journal record"):
         Journal.recover(str(tmp_path))
+
+
+@pytest.mark.parametrize("line", [
+    b"[1, 2]", b'"job"', b'{"type":"job","outcome":{}}',
+    b'{"type":"job","index":1}', b'{"type":"job","index":"1","outcome":{}}',
+    b'{"type":"job","index":1,"outcome":[1]}'],
+    ids=["list", "string", "no-index", "no-outcome", "string-index",
+         "list-outcome"])
+def test_a_line_that_parses_but_is_no_record_is_corruption(tmp_path, line):
+    path = _write(tmp_path, outcomes=[_outcome()])
+    intact = open(path, "rb").read()
+    later = canonical_json({"type": "job", "index": 2,
+                            "outcome": _outcome("c.mc").to_json()})
+    # Unlike a torn tail, such a line cannot come from an interrupted
+    # append, so it is corruption wherever it stands.
+    for tail in (later.encode() + b"\n", b""):
+        with open(path, "wb") as handle:
+            handle.write(intact + line + b"\n" + tail)
+        with pytest.raises(SupervisorError,
+                           match=f"corrupt journal record at byte "
+                                 f"{len(intact)} "):
+            Journal.recover(str(tmp_path))
+
+
+@pytest.mark.parametrize("line", [
+    b"[1, 2]", b'"submit"', b'{"type":"done","result":{}}',
+    b'{"type":"submit","id":"j-2"}', b'{"type":"done","id":"j-1"}',
+    b'{"type":"done","id":"j-1","result":[]}'],
+    ids=["list", "string", "done-no-id", "submit-no-job", "done-no-result",
+         "list-result"])
+def test_a_serve_line_that_parses_but_is_no_record_is_corruption(
+        tmp_path, line):
+    journal = ServeJournal(str(tmp_path))
+    journal.open_fresh({"seed": 0, "fingerprint": {"budget": 1000}})
+    journal.append_submit({"id": "j-1", "job": "j-1.mc"})
+    journal.close()
+    intact = open(journal.path, "rb").read()
+    with open(journal.path, "wb") as handle:
+        handle.write(intact + line + b"\n"
+                     + b'{"type":"submit","id":"j-3","job":"j-3.mc"}\n')
+    with pytest.raises(ServeError, match=f"corrupt journal record at byte "
+                                         f"{len(intact)} "):
+        ServeJournal.recover(str(tmp_path))
 
 
 def test_missing_journal_is_an_error(tmp_path):

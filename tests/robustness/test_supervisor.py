@@ -11,7 +11,8 @@ import os
 import pytest
 
 from repro.errors import SupervisorError
-from repro.robustness.degrade import STATUS_DEGRADED, STATUS_FAILED, STATUS_OK
+from repro.robustness.degrade import (STATUS_DEGRADED, STATUS_FAILED,
+                                      STATUS_OK, JobPolicy)
 from repro.robustness.journal import Journal
 from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
                                          REPORT_NAME, SupervisorOptions,
@@ -121,27 +122,20 @@ def test_inprocess_backend_rejects_chaos_injection(program_file, tmp_path):
                         options=_options()).run()
 
 
-def test_backoff_is_seeded_bounded_and_order_independent(
-        program_file, tmp_path):
-    supervisor = BatchSupervisor([JobSpec(program_file)],
-                                 str(tmp_path / "run"),
-                                 options=_options(seed=11,
-                                                  backoff_base_s=0.01))
-    state = _JobState(index=0, spec=supervisor.jobs[0])
-    state.attempts = [object()]  # one failure so far
-    first = supervisor._backoff_delay(state)
-    assert first == supervisor._backoff_delay(state)  # pure function
-    assert 0.0 <= first <= supervisor.options.backoff_max_s
-    state.attempts.append(object())
-    second = supervisor._backoff_delay(state)
+def test_backoff_is_seeded_bounded_and_order_independent(program_file):
+    # The batch keys a job's backoff by its index and source, never by
+    # when it happened to run.
+    key = _JobState(index=0, spec=JobSpec(program_file)).backoff_key
+    assert key == f"0:{program_file}"
+    policy = JobPolicy(_options(seed=11, backoff_base_s=0.01))
+    first = policy.backoff_delay(key, 1)  # one failure so far
+    assert first == policy.backoff_delay(key, 1)  # pure function
+    assert 0.0 <= first <= policy.options.backoff_max_s
+    second = policy.backoff_delay(key, 2)
     assert second != first  # attempt number feeds the derivation
-    other_seed = BatchSupervisor([JobSpec(program_file)],
-                                 str(tmp_path / "run2"),
-                                 options=_options(seed=12, backoff_jitter=1.0,
-                                                  backoff_base_s=0.5))
-    state_two = _JobState(index=0, spec=other_seed.jobs[0])
-    state_two.attempts = [object()]
-    assert other_seed._backoff_delay(state_two) != first
+    other_seed = JobPolicy(_options(seed=12, backoff_jitter=1.0,
+                                    backoff_base_s=0.5))
+    assert other_seed.backoff_delay(key, 1) != first
 
 
 def test_identical_seeded_runs_are_byte_identical(program_file, tmp_path):

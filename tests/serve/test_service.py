@@ -168,7 +168,7 @@ def test_injected_crash_degrades_one_tier_and_pool_heals(tmp_path):
             job = await _await_done(service, payload["id"], timeout_s=45.0)
             assert job.result["status"] == "DEGRADED"
             assert job.result["tier"] == 1
-            assert [a["result"] for a in job.attempts] == ["crash", "ok"]
+            assert [a.result for a in job.attempts] == ["crash", "ok"]
             # The crashed worker was replaced, not mourned.
             deadline = asyncio.get_running_loop().time() + 10.0
             while (service.pool.live_count() < 1
@@ -229,7 +229,7 @@ def test_breaker_opens_after_threshold_and_fails_fast(tmp_path):
             job = await _await_done(service, payload["id"], timeout_s=60.0)
             assert job.result["status"] == "FAILED"
             assert "circuit breaker open" in job.result["reason"]
-            hard = [a for a in job.attempts if a["result"] == "crash"]
+            hard = [a for a in job.attempts if a.result == "crash"]
             assert len(hard) == 2
             assert service.describe()["breaker"]["open"].keys() == {"crashy"}
         finally:

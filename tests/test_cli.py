@@ -190,3 +190,16 @@ def test_batch_resume_without_journal_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no journal to resume" in err
     assert "Traceback" not in err
+    # A journal line that parses but is no record is corruption, too:
+    # a meta without the batch's options, or a list among the jobs.
+    meta = '{"type":"meta","version":2,"seed":0,"jobs":[]'
+    for body, offset in ((meta + '}\n', 0),
+                         (meta + ',"options":{}}\n[1, 2]\n{"type":"job"}\n',
+                          len(meta) + 15)):
+        malformed = tmp_path / f"malformed-{offset}"
+        malformed.mkdir()
+        (malformed / "journal.jsonl").write_text(body)
+        assert main(["batch", "--resume", str(malformed)]) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt journal record at byte {offset} " in err
+        assert "Traceback" not in err
