@@ -1,7 +1,9 @@
 """CI perf gate: the suite's canonical performance baseline.
 
-Runs the six suite benchmarks at a fixed scale through the optimizer
-under an observability session and compares against the checked-in
+Runs the six suite benchmarks at a fixed scale through the optimizer,
+plus one small benchmark with differential validation on (the path
+``icbe batch`` and ``icbe serve`` run by default), under an
+observability session and compares against the checked-in
 ``benchmarks/BENCH_BASELINE.json``:
 
 - **counter/gauge/histogram metrics compare exactly** — they are pure
@@ -53,6 +55,10 @@ REPEATS = 3
 #: design: the ratio cancels machine speed, not scheduler noise.
 DEFAULT_TOLERANCE = 1.5
 BASELINE_VERSION = 1
+#: (benchmark, scale) of the diff-checked entry: its exact
+#: ``interp.runs``, ``diffcheck.calls`` and ``diffcheck.original_runs``
+#: gate that each optimize run executes its input once per workload.
+DIFF_CHECKED = ("compress_like", 1)
 
 
 def calibrate() -> float:
@@ -72,18 +78,20 @@ def calibrate() -> float:
     return best
 
 
-def measure(name: str, calibration_s: float):
+def measure(name: str, calibration_s: float, scale: int = SCALE,
+            diff_check: bool = False):
     """One benchmark's (metrics snapshot, wall ratio, spans)."""
-    icfg = lower_program(load_benchmark(name, scale=SCALE).program)
+    icfg = lower_program(load_benchmark(name, scale=scale).program)
     best_wall = float("inf")
     snapshot = None
     spans = []
     for _ in range(REPEATS):
         with obs.suspended(), obs.session() as active:
             started = time.perf_counter()
-            with obs.span("perf.benchmark", benchmark=name, scale=SCALE):
+            with obs.span("perf.benchmark", benchmark=name, scale=scale):
                 ICBEOptimizer(OptimizerOptions(
-                    duplication_limit=LIMIT)).optimize(icfg)
+                    duplication_limit=LIMIT,
+                    diff_check=diff_check)).optimize(icfg)
             best_wall = min(best_wall, time.perf_counter() - started)
         if snapshot is not None and active.metrics.snapshot() != snapshot:
             raise AssertionError(
@@ -101,12 +109,17 @@ def run_suite(trace_path=None):
     # All measured sessions share the process clock, so their spans can
     # be collected into one tracer (lane per benchmark) with no rebase.
     tracer = obs.Tracer()
-    for name in benchmark_names():
-        snapshot, ratio, wall_s, spans = measure(name, calibration_s)
-        results[name] = {"metrics": snapshot,
-                         "wall_ratio": round(ratio, 3),
-                         "wall_s": round(wall_s, 4)}
-        tracer.adopt(spans, origin=name)
+    entries = [(name, name, SCALE, False) for name in benchmark_names()]
+    diff_name, diff_scale = DIFF_CHECKED
+    entries.append((f"{diff_name}@{diff_scale}+diff-check", diff_name,
+                    diff_scale, True))
+    for key, name, scale, diff_check in entries:
+        snapshot, ratio, wall_s, spans = measure(name, calibration_s,
+                                                 scale, diff_check)
+        results[key] = {"metrics": snapshot,
+                        "wall_ratio": round(ratio, 3),
+                        "wall_s": round(wall_s, 4)}
+        tracer.adopt(spans, origin=key)
     if trace_path:
         from repro.obs.export import write_jsonl
         write_jsonl(trace_path, tracer.export(),
@@ -174,7 +187,7 @@ def main(argv=None) -> int:
     results, calibration_s = run_suite(trace_path=args.trace)
     for name, entry in results.items():
         counters = entry["metrics"]["counters"]
-        print(f"{name:15s} wall {entry['wall_s']*1000:7.1f}ms "
+        print(f"{name:28s} wall {entry['wall_s']*1000:7.1f}ms "
               f"ratio {entry['wall_ratio']:6.2f}  "
               f"optimized {counters.get('optimize.optimized', 0)}  "
               f"pairs {counters.get('analysis.pairs_examined', 0)}")

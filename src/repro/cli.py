@@ -378,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open a job class's circuit breaker after K "
                               "consecutive hard worker deaths")
     batch_p.add_argument("--no-diff-check", action="store_true",
-                         help="skip per-job differential validation")
+                         help="skip the optimizer's differential checks "
+                              "(per transaction and at the end); each "
+                              "job's final program is still diffed "
+                              "against its input once")
     batch_p.add_argument("--inject", action="append", metavar="SPEC",
                          help="chaos drill: hang|crash|oom:JOB[:TIERS] "
                               "(repeatable; deterministic given --seed)")
@@ -436,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--limit", type=int, default=100,
                          help="per-conditional duplication limit")
     serve_p.add_argument("--no-diff-check", action="store_true",
-                         help="skip per-job differential validation")
+                         help="skip the optimizer's differential checks "
+                              "(per transaction and at the end); each "
+                              "job's final program is still diffed "
+                              "against its input once")
     serve_p.set_defaults(func=cmd_serve)
 
     exp_p = add_parser("experiment", help="run a paper experiment")

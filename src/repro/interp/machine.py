@@ -222,6 +222,7 @@ def run_icfg(icfg: ICFG, workload: Optional[Workload] = None,
         result = Machine(icfg, stream, step_limit).run()
         span.set(status=result.status,
                  operations=result.profile.executed_operations)
+    obs.add("interp.runs")
     obs.add("interp.executed_conditionals",
             result.profile.executed_conditionals)
     return result

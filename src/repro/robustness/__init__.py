@@ -23,7 +23,7 @@ See docs/ROBUSTNESS.md for the transaction model and the knobs.
 from repro.robustness.degrade import (Attempt, JobOutcome, LADDER, Tier,
                                       tier_names)
 from repro.robustness.diffcheck import (DiffMismatch, DiffReport,
-                                        differential_check,
+                                        OriginalRuns, differential_check,
                                         require_equivalent,
                                         seeded_workloads)
 from repro.robustness.faults import (CORRUPTION_ACTIONS, FaultPlan,
@@ -42,7 +42,8 @@ __all__ = [
     "Attempt", "BatchReport", "BatchSupervisor", "CORRUPTION_ACTIONS",
     "DeadlineGuard", "DiagnosticsBundle", "DiffMismatch", "DiffReport",
     "FaultPlan", "FaultSpec", "FiredFault", "JobOutcome",
-    "JobSpec", "Journal", "LADDER", "ResourceGuard", "SupervisorOptions",
+    "JobSpec", "Journal", "LADDER", "OriginalRuns", "ResourceGuard",
+    "SupervisorOptions",
     "Tier", "active_context", "capture_bundle", "checkpoint", "corrupt_icfg",
     "differential_check", "load_outcomes", "require_equivalent",
     "robustness_context", "run_batch", "seeded_workloads", "tier_names",

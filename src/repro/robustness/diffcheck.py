@@ -11,14 +11,19 @@ purpose, since the whole point of the optimization is to change them).
 
 The transactional optimizer runs this after every accepted transform
 (and once more at pipeline end): a mismatch rolls the offending
-conditional back instead of silently shipping a miscompile.
+conditional back instead of silently shipping a miscompile.  A run is a
+deterministic function of graph, input stream and step limit, so one
+optimizer run executes its unchanged input once per workload
+(:class:`OriginalRuns`) and compares every candidate graph against
+those recorded observables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro import obs
 from repro.errors import DifferentialMismatch
 from repro.interp.machine import DEFAULT_STEP_LIMIT, run_icfg
 from repro.interp.workload import Workload
@@ -79,28 +84,65 @@ def seeded_workloads(seed: int = 0, runs: int = 3, length: int = 16,
     return loads
 
 
-def differential_check(original: ICFG, optimized: ICFG,
+class OriginalRuns:
+    """One original graph's observables, each workload run at most once.
+
+    Every check that passes the same instance as its ``original`` reuses
+    the observables recorded by earlier checks; a workload is keyed by
+    its values, default and step limit, which is all a run depends on.
+    Hold one per original graph (an optimizer run keeps one on its
+    pipeline state), never one across graphs.
+    """
+
+    def __init__(self, icfg: ICFG) -> None:
+        self.icfg = icfg
+        #: Runs of ``icfg`` actually executed so far.
+        self.executed = 0
+        self._observed: Dict[Tuple, Tuple] = {}
+
+    def observable(self, workload: Workload, step_limit: int) -> Tuple:
+        """``icfg``'s observable on ``workload``, run on first request."""
+        key = (tuple(workload.values), workload.default, step_limit)
+        observed = self._observed.get(key)
+        if observed is None:
+            observed = run_icfg(self.icfg, workload.fresh(),
+                                step_limit=step_limit).observable
+            self._observed[key] = observed
+            self.executed += 1
+            obs.add("diffcheck.original_runs")
+        return observed
+
+
+def differential_check(original: Union[ICFG, OriginalRuns], optimized: ICFG,
                        workloads: Optional[List[Workload]] = None,
                        seed: int = 0, runs: int = 3, length: int = 16,
                        step_limit: int = DEFAULT_STEP_LIMIT) -> DiffReport:
     """Compare observable traces of ``original`` vs ``optimized``.
 
-    Neither graph is mutated; workloads are re-wound via ``fresh`` so a
-    caller-supplied battery can be reused across calls.
+    ``original`` is the reference graph, or its :class:`OriginalRuns`
+    to reuse the observables earlier checks recorded.  Neither graph is
+    mutated; workloads are re-wound via ``fresh`` so a caller-supplied
+    battery can be reused across calls.
     """
     checkpoint("diffcheck:run")
     if workloads is None:
         workloads = seeded_workloads(seed, runs, length)
+    if not isinstance(original, OriginalRuns):
+        original = OriginalRuns(original)
+    obs.add("diffcheck.calls")
     report = DiffReport(runs=len(workloads))
-    for workload in workloads:
-        before = run_icfg(original, workload.fresh(), step_limit=step_limit)
-        after = run_icfg(optimized, workload.fresh(), step_limit=step_limit)
-        if before.observable != after.observable:
-            report.mismatches.append(DiffMismatch(
-                workload_name=workload.name,
-                workload_values=tuple(workload.values),
-                original=before.observable,
-                optimized=after.observable))
+    executed = original.executed
+    with obs.span("diffcheck", workloads=len(workloads)) as span:
+        for workload in workloads:
+            before = original.observable(workload, step_limit)
+            after = run_icfg(optimized, workload.fresh(),
+                             step_limit=step_limit).observable
+            if before != after:
+                report.mismatches.append(DiffMismatch(
+                    workload_name=workload.name,
+                    workload_values=tuple(workload.values),
+                    original=before, optimized=after))
+        span.set(original_runs=original.executed - executed)
     return report
 
 

@@ -285,20 +285,24 @@ def _attempt_payload(spec: dict) -> dict:
         options.strict = bool(spec.get("strict", False))
         from repro.transform import ICBEOptimizer
         report = ICBEOptimizer(options).optimize(icfg)
-        verify_icfg(report.optimized)
-        workloads = seeded_workloads(seed=spec.get("diff_seed", 0))
-        if ref_workload is not None:
-            workloads.append(ref_workload)
-        diff = differential_check(icfg, report.optimized,
-                                  workloads=workloads)
         counts.update(optimized=report.optimized_count,
                       failed=report.failed_count,
                       rolled_back=report.rolled_back_count,
                       nodes_after=report.optimized.node_count())
-        if not diff.ok:
-            return {"ok": False, "error": "DifferentialMismatch",
-                    "message": diff.describe(), "context": {},
-                    "kind": "diff-mismatch"}
+        # The optimizer's final validation already verified the result
+        # in full and, with diff-check on, diffed it over this seeded
+        # battery; only the workloads it did not run are left to check.
+        workloads = ([] if options.diff_check
+                     else seeded_workloads(seed=options.diff_seed))
+        if ref_workload is not None:
+            workloads.append(ref_workload)
+        if workloads:
+            diff = differential_check(icfg, report.optimized,
+                                      workloads=workloads)
+            if not diff.ok:
+                return {"ok": False, "error": "DifferentialMismatch",
+                        "message": diff.describe(), "context": {},
+                        "kind": "diff-mismatch"}
         return {"ok": True, "tier": tier.index, "verify_ok": True,
                 "diff_ok": True, "counts": counts}
     except MemoryError:

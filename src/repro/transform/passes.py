@@ -11,7 +11,13 @@ passes over a :class:`PipelineState`:
    transaction.
 3. :class:`FinalValidatePass` — full structural verification (never
    scoped) plus the optional differential check; a violation rolls the
-   whole run back to a pristine clone of the input.
+   whole run back to a pristine clone of the input, and every
+   conditional the run had optimized is recorded as rolled back.
+
+Every differential check of one run compares against the same
+:class:`~repro.robustness.diffcheck.OriginalRuns` on the
+:class:`PipelineState`, so the unchanged input runs once per workload
+per run, however many transactions are checked.
 
 Each pass declares which cached analyses of the shared
 :class:`~repro.analysis.context.AnalysisContext` it *preserves*.  After
@@ -50,11 +56,12 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro import obs
 from repro.analysis.context import AnalysisContext
 from repro.analysis.driver import analyze_branch
-from repro.errors import DifferentialMismatch
+from repro.errors import DifferentialMismatch, ReproError
 from repro.ir.icfg import ICFG, UndoMark
 from repro.ir.simplify import simplify_nops
 from repro.ir.verify import verify_icfg
-from repro.robustness.diffcheck import DiffReport
+from repro.robustness.diffcheck import (DiffReport, OriginalRuns,
+                                        differential_check)
 from repro.robustness.guards import ResourceGuard
 from repro.robustness.runtime import checkpoint, robustness_context
 from repro.transform.restructure import (BranchOutcome, RestructureResult,
@@ -76,10 +83,24 @@ class PipelineState:
     origin: Dict[int, int] = field(default_factory=dict)
     gate_profile: Optional[object] = None
     growth_cap: Optional[int] = None
+    #: ``original``'s observables, each workload run on first use and
+    #: reused by every later differential check of this run.
+    original_runs: OriginalRuns = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.original_runs = OriginalRuns(self.original)
 
     @property
     def options(self):
         return self.optimizer.options
+
+    def diff(self, candidate: ICFG) -> DiffReport:
+        """Differential check of ``candidate`` against the run's input
+        over the configured battery."""
+        opts = self.options
+        return differential_check(self.original_runs, candidate,
+                                  workloads=opts.diff_workloads,
+                                  seed=opts.diff_seed, runs=opts.diff_runs)
 
     # -- transaction discipline ----------------------------------------------
 
@@ -186,7 +207,7 @@ class RestructurePass(Pass):
                 result = self._attempt(state, branch_id, mark)
                 if result.applied and opts.diff_check:
                     assert result.new_icfg is not None
-                    diff = optimizer._diff(state.original, result.new_icfg)
+                    diff = state.diff(result.new_icfg)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as failure:
@@ -313,15 +334,48 @@ class SimplifyPass(Pass):
 class FinalValidatePass(Pass):
     """Last line of defence: a full (never scoped) structural
     verification plus the optional differential check.  It mutates
-    nothing on success, so it preserves everything; on failure the
-    whole run is rolled back to a pristine clone of the input."""
+    nothing on success, so it preserves everything.  A violation means
+    a pipeline-level fault slipped through every per-conditional net,
+    so the whole run is rolled back to a pristine clone of the input —
+    correct, if unoptimized — and the records say so."""
 
     name = "final-validate"
     preserves: FrozenSet[str] = AnalysisContext.ALL
 
     def run(self, state: PipelineState) -> None:
-        state.current = state.optimizer._final_validation(
-            state.original, state.current, state.report)
+        failure = self._violation(state)
+        if failure is None:
+            return
+        state.current = state.original.clone()
+        for record in state.report.records:
+            if record.outcome is BranchOutcome.OPTIMIZED:
+                record.outcome = BranchOutcome.ROLLED_BACK
+                record.failure = failure
+                record.node_growth = 0
+
+    @staticmethod
+    def _violation(state: PipelineState) -> Optional[str]:
+        """The failed phase and its failure, or None when the graph
+        verifies and (when checked) behaves like the input."""
+        opts = state.options
+        diagnose = state.optimizer._diagnose
+        try:
+            verify_icfg(state.current)
+        except ReproError as failure:
+            if opts.strict:
+                raise
+            diagnose(state.report, -1, "final-verify",
+                     exc=failure, icfg=state.current)
+            return f"final-verify: {type(failure).__name__}: {failure}"
+        if opts.diff_check:
+            diff = state.diff(state.current)
+            if not diff.ok:
+                if opts.strict:
+                    raise DifferentialMismatch(diff.describe())
+                diagnose(state.report, -1, "final-diff",
+                         icfg=state.current, diff=diff)
+                return f"final-diff: {diff.describe()}"
+        return None
 
 
 def build_default_pipeline() -> PassManager:

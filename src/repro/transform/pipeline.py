@@ -43,12 +43,10 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.context import AnalysisContext, CacheStats
-from repro.errors import DifferentialMismatch, ReproError
 from repro.interp.profile import Profile, RemappedProfile
 from repro.interp.workload import Workload
 from repro.ir.icfg import ICFG, UndoMark
-from repro.ir.verify import verify_icfg
-from repro.robustness.diffcheck import DiffReport, differential_check
+from repro.robustness.diffcheck import DiffReport
 from repro.robustness.faults import FaultPlan
 from repro.robustness.report import (DiagnosticsBundle, capture_bundle,
                                      write_bundle)
@@ -79,6 +77,7 @@ class OptimizerOptions:
     strict: bool = False
     #: Run differential trace validation after every accepted transform
     #: and once more at pipeline end; mismatches roll the transform back.
+    #: The input runs once per workload per optimize run.
     diff_check: bool = False
     #: Workload battery for differential validation (None = a seeded
     #: default battery of ``diff_runs`` random streams plus the empty
@@ -263,34 +262,6 @@ class ICBEOptimizer:
         obs.gauge("optimize.node_growth", report.node_growth)
         report.cache.publish()
 
-    # -- transactional phases ------------------------------------------------
-
-    def _final_validation(self, original: ICFG, current: ICFG,
-                          report: OptimizationReport) -> ICFG:
-        """Last line of defence: the returned graph must verify and
-        (when differential checking is on) behave like the input.  A
-        violation here means a pipeline-level fault slipped through
-        every per-conditional net, so the whole run is rolled back to a
-        pristine clone of the input — correct, if unoptimized."""
-        opts = self.options
-        try:
-            verify_icfg(current)
-        except ReproError as failure:
-            if opts.strict:
-                raise
-            self._diagnose(report, -1, "final-verify",
-                           exc=failure, icfg=current)
-            return original.clone()
-        if opts.diff_check:
-            diff = self._diff(original, current)
-            if not diff.ok:
-                if opts.strict:
-                    raise DifferentialMismatch(diff.describe())
-                self._diagnose(report, -1, "final-diff",
-                               icfg=current, diff=diff)
-                return original.clone()
-        return current
-
     # -- helpers -------------------------------------------------------------
 
     def _node_cap(self, mark: UndoMark) -> Optional[int]:
@@ -299,13 +270,6 @@ class ICBEOptimizer:
         if factor is None:
             return None
         return int(mark.node_count * factor)
-
-    def _diff(self, original: ICFG, optimized: ICFG) -> DiffReport:
-        """Differential trace comparison with the configured workloads."""
-        opts = self.options
-        return differential_check(original, optimized,
-                                  workloads=opts.diff_workloads,
-                                  seed=opts.diff_seed, runs=opts.diff_runs)
 
     def _diagnose(self, report: OptimizationReport, branch_id: int,
                   phase: str, exc: Optional[BaseException] = None,

@@ -11,6 +11,7 @@ import pytest
 
 from tests.helpers import FGETC_LIKE, build
 
+from repro import obs
 from repro.analysis import AnalysisConfig
 from repro.errors import (BudgetExceeded, DifferentialMismatch,
                           FaultInjected)
@@ -92,6 +93,34 @@ def test_semantic_corruption_is_rolled_back_by_differential_check():
     assert differential_check(icfg, report.optimized).ok
     bundle = [b for b in report.diagnostics if b.phase == "diff-check"]
     assert bundle and bundle[0].diff is not None
+
+
+def test_final_rollback_reports_no_optimized_conditional():
+    icfg = build(FGETC_LIKE)
+    # Skew a print constant just before the end-of-run compaction: its
+    # frontier verify passes, so only final validation's differential
+    # check catches it and rolls the whole run back to the input.
+    plan = FaultPlan.corrupting("pipeline:simplify", hit=1,
+                                action="skew-print")
+    with obs.session() as active:
+        report = make_optimizer(diff_check=True,
+                                fault_plan=plan).optimize(icfg)
+    assert [b.phase for b in report.diagnostics] == ["final-diff"]
+    assert dump_icfg(report.optimized) == dump_icfg(icfg)
+    assert differential_check(icfg, report.optimized).ok
+    # The records and counters describe the graph that is returned.
+    assert report.optimized_count == 0
+    assert report.outcome_counts() == {"rolled-back": 2,
+                                       "no-correlation": 2}
+    rolled = [r for r in report.records
+              if r.outcome is BranchOutcome.ROLLED_BACK]
+    for record in rolled:
+        assert record.failure.startswith("final-diff: differential mismatch")
+        assert record.node_growth == 0
+    assert report.node_growth == 0
+    counters = active.metrics.snapshot()["counters"]
+    assert counters["optimize.optimized"] == 0
+    assert counters["optimize.rolled_back"] == 2
 
 
 def test_deadline_guard_fails_conditionals_not_the_run():
