@@ -2,9 +2,10 @@
 
 Runs the six suite benchmarks at a fixed scale through the optimizer,
 plus one small benchmark with differential validation on (the path
-``icbe batch`` and ``icbe serve`` run by default), under an
-observability session and compares against the checked-in
-``benchmarks/BENCH_BASELINE.json``:
+``icbe batch`` and ``icbe serve`` run by default) and one suite
+benchmark under the intraprocedural analysis (the ladder's first
+fallback tier), under an observability session and compares against
+the checked-in ``benchmarks/BENCH_BASELINE.json``:
 
 - **counter/gauge/histogram metrics compare exactly** — they are pure
   functions of the algorithm (no timings ever enter the registry; see
@@ -39,6 +40,7 @@ import sys
 import time
 
 from repro import obs
+from repro.analysis import AnalysisConfig
 from repro.benchgen.suite import benchmark_names, load_benchmark
 from repro.ir import lower_program
 from repro.transform import ICBEOptimizer, OptimizerOptions
@@ -59,6 +61,9 @@ BASELINE_VERSION = 1
 #: ``interp.runs``, ``diffcheck.calls`` and ``diffcheck.original_runs``
 #: gate that each optimize run executes its input once per workload.
 DIFF_CHECKED = ("compress_like", 1)
+#: (benchmark, scale) of the intraprocedural entry: the only mode whose
+#: analysis reads the transitive MOD sets at call sites.
+INTRA = ("perl_like", SCALE)
 
 
 def calibrate() -> float:
@@ -79,9 +84,10 @@ def calibrate() -> float:
 
 
 def measure(name: str, calibration_s: float, scale: int = SCALE,
-            diff_check: bool = False):
+            diff_check: bool = False, intra: bool = False):
     """One benchmark's (metrics snapshot, wall ratio, spans)."""
     icfg = lower_program(load_benchmark(name, scale=scale).program)
+    config = AnalysisConfig(budget=BUDGET, interprocedural=not intra)
     best_wall = float("inf")
     snapshot = None
     spans = []
@@ -90,7 +96,7 @@ def measure(name: str, calibration_s: float, scale: int = SCALE,
             started = time.perf_counter()
             with obs.span("perf.benchmark", benchmark=name, scale=scale):
                 ICBEOptimizer(OptimizerOptions(
-                    duplication_limit=LIMIT,
+                    config=config, duplication_limit=LIMIT,
                     diff_check=diff_check)).optimize(icfg)
             best_wall = min(best_wall, time.perf_counter() - started)
         if snapshot is not None and active.metrics.snapshot() != snapshot:
@@ -109,13 +115,16 @@ def run_suite(trace_path=None):
     # All measured sessions share the process clock, so their spans can
     # be collected into one tracer (lane per benchmark) with no rebase.
     tracer = obs.Tracer()
-    entries = [(name, name, SCALE, False) for name in benchmark_names()]
+    entries = [(name, name, SCALE, {}) for name in benchmark_names()]
     diff_name, diff_scale = DIFF_CHECKED
     entries.append((f"{diff_name}@{diff_scale}+diff-check", diff_name,
-                    diff_scale, True))
-    for key, name, scale, diff_check in entries:
+                    diff_scale, {"diff_check": True}))
+    intra_name, intra_scale = INTRA
+    entries.append((f"{intra_name}@{intra_scale}+intra", intra_name,
+                    intra_scale, {"intra": True}))
+    for key, name, scale, mode in entries:
         snapshot, ratio, wall_s, spans = measure(name, calibration_s,
-                                                 scale, diff_check)
+                                                 scale, **mode)
         results[key] = {"metrics": snapshot,
                         "wall_ratio": round(ratio, 3),
                         "wall_s": round(wall_s, 4)}

@@ -23,7 +23,6 @@ resolved answers forward with set-union merging.
 from repro.analysis.answers import (Answer, AnswerSet, FALSE, TRUE, UNDEF,
                                     trans)
 from repro.analysis.config import AnalysisConfig, CorrelationSource
-from repro.analysis.context import AnalysisContext, CacheStats
 from repro.analysis.cost import (duplication_upper_bound,
                                  eliminated_executions_estimate)
 from repro.analysis.driver import analyze_branch
@@ -34,8 +33,7 @@ from repro.analysis.result import CorrelationResult
 from repro.analysis.rollback import collect_answers
 
 __all__ = [
-    "AnalysisConfig", "AnalysisContext", "AnalysisStats", "Answer",
-    "AnswerSet", "CacheStats",
+    "AnalysisConfig", "AnalysisStats", "Answer", "AnswerSet",
     "CorrelationEngine", "CorrelationResult", "CorrelationSource", "FALSE",
     "Query", "TRUE", "UNDEF", "ValueSet", "analyze_branch",
     "collect_answers", "decide", "duplication_upper_bound",

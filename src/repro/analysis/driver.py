@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.context import AnalysisContext
 from repro.analysis.engine import CorrelationEngine
 from repro.analysis.result import CorrelationResult
 from repro.analysis.rollback import collect_answers
@@ -16,18 +15,13 @@ from repro.ir.nodes import BranchNode
 
 def analyze_branch(icfg: ICFG, branch_id: int,
                    config: Optional[AnalysisConfig] = None,
-                   engine: Optional[CorrelationEngine] = None,
-                   context: Optional[AnalysisContext] = None
+                   engine: Optional[CorrelationEngine] = None
                    ) -> CorrelationResult:
     """Analyze one conditional: backward query propagation + rollback.
 
     Pass a shared ``engine`` to reuse its query cache across conditionals
     (paper §3.3's O(C*N*V) caching variant).  The caller must not modify
     the graph between analyses sharing an engine.
-
-    Pass a ``context`` (an :class:`~repro.analysis.context.AnalysisContext`
-    in sync with ``icfg``) to share its interned queries and memoized
-    mod/ref summaries; the answers are the same either way.
     """
     from repro import obs
     node = icfg.nodes.get(branch_id)
@@ -37,7 +31,7 @@ def analyze_branch(icfg: ICFG, branch_id: int,
                   proc=node.proc) as span:
         reuse = engine is not None
         if engine is None:
-            engine = CorrelationEngine(icfg, config, context=context)
+            engine = CorrelationEngine(icfg, config)
         initial = engine.analyze(node, reuse_cache=reuse)
         if initial is None:
             span.set(analyzable=False)

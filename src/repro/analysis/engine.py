@@ -122,15 +122,10 @@ class AnalysisStats:
 class CorrelationEngine:
     """Demand-driven correlation analysis for a single ICFG."""
 
-    def __init__(self, icfg: ICFG, config: Optional[AnalysisConfig] = None,
-                 context=None) -> None:
+    def __init__(self, icfg: ICFG,
+                 config: Optional[AnalysisConfig] = None) -> None:
         self.icfg = icfg
         self.config = config if config is not None else AnalysisConfig()
-        # The shared AnalysisContext, if one is supplied *and* its
-        # cached facts describe this exact graph state; otherwise the
-        # engine runs standalone, exactly as before.
-        self.context = (context if context is not None
-                        and context.in_sync(icfg) else None)
         self._mod_sets = None  # lazy; only the intraprocedural mode needs it
 
         # Per-analysis state (reset by analyze()).
@@ -190,15 +185,10 @@ class CorrelationEngine:
             self._process(node_id, query)
         return initial
 
-    def hosted_queries(self, node_id: int) -> Tuple[Query, ...]:
-        return tuple(self.raised.get(node_id, ()))
-
     # -- worklist plumbing ------------------------------------------------------
 
     def _raise(self, node_id: int, query: Query) -> None:
         """Paper Fig. 4 ``raise_query``: dedup via Q[n]."""
-        if self.context is not None:
-            query = self.context.intern_query(query)
         queries = self.raised.setdefault(node_id, OrderedSet())
         if queries.add(query):
             self.stats.queries_raised += 1
@@ -372,10 +362,7 @@ class CorrelationEngine:
 
     def _mod(self, proc: str):
         if self._mod_sets is None:
-            if self.context is not None:
-                self._mod_sets = self.context.mod_sets(self.icfg)
-            else:
-                self._mod_sets = transitive_mod_sets(self.icfg)
+            self._mod_sets = transitive_mod_sets(self.icfg)
         return self._mod_sets.get(proc, set())
 
     # -- TRANS continuations (paper Fig. 4 lines 21-26) --------------------------

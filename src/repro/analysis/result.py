@@ -14,7 +14,7 @@ cost accounting.  Terminology follows the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.analysis.answers import Answer, format_answers
 from repro.analysis.engine import AnalysisStats, CorrelationEngine
@@ -60,15 +60,6 @@ class CorrelationResult:
 
     # -- introspection ------------------------------------------------------
 
-    def visited_pairs(self) -> Tuple[Tuple[int, Query], ...]:
-        if self.engine is None:
-            return ()
-        pairs = []
-        for node_id, queries in self.engine.raised.items():
-            for query in queries:
-                pairs.append((node_id, query))
-        return tuple(pairs)
-
     def visited_node_count(self) -> int:
         if self.engine is None:
             return 0
@@ -82,16 +73,3 @@ class CorrelationResult:
                 f"({self.stats.pairs_examined} pairs examined"
                 f"{', budget exhausted' if self.stats.budget_exhausted else ''})")
 
-
-def summarize_answer_map(result: CorrelationResult) -> Dict[int, str]:
-    """node id -> rendered answers (debugging aid for small graphs)."""
-    rendered: Dict[int, str] = {}
-    if result.engine is None:
-        return rendered
-    for node_id in sorted(result.engine.raised):
-        parts = []
-        for query in result.engine.raised[node_id]:
-            answers = answers_at(result.answers, node_id, query)
-            parts.append(f"{query}={format_answers(answers)}")
-        rendered[node_id] = "; ".join(parts)
-    return rendered

@@ -110,7 +110,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"{report.conditionals_before}")
     print(f"nodes: {report.nodes_before} -> {report.nodes_after} "
           f"({report.growth_percent:+.1f}%)")
-    print(f"analysis cache: {report.cache.describe()}")
     if report.failed_count or report.rolled_back_count:
         print(f"transactions rolled back: {report.failed_count} failed, "
               f"{report.rolled_back_count} differential")
@@ -252,24 +251,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
-    # Observability flags live on a shared parent so they parse both
-    # before and after the subcommand (``icbe --trace f optimize x`` and
-    # ``icbe optimize x --trace f``); argparse only applies a subparser
-    # default when the top-level parse left the attribute unset.
+    # Observability flags parse both before and after the subcommand
+    # (``icbe --trace f optimize x`` and ``icbe optimize x --trace f``).
+    # The subcommands' copies default to SUPPRESS: a subparser writes
+    # its defaults over the top-level values, so any other default
+    # would discard a flag given before the subcommand.
+    def obs_flags(p: argparse.ArgumentParser, **default) -> None:
+        p.add_argument(
+            "--trace", metavar="FILE.jsonl", **default,
+            help="run under an observability session and write the span "
+                 "tree + metrics snapshot as JSONL (convert to Chrome "
+                 "trace-viewer format with python -m repro.obs.export)")
+        p.add_argument(
+            "--profile", action="store_true", **default,
+            help="print a pstats-style per-span aggregate of the "
+                 "invocation to stderr")
+
     obs_parent = argparse.ArgumentParser(add_help=False)
-    obs_parent.add_argument(
-        "--trace", default=None, metavar="FILE.jsonl",
-        help="run under an observability session and write the span "
-             "tree + metrics snapshot as JSONL (convert to Chrome "
-             "trace-viewer format with python -m repro.obs.export)")
-    obs_parent.add_argument(
-        "--profile", action="store_true",
-        help="print a pstats-style per-span aggregate of the "
-             "invocation to stderr")
+    obs_flags(obs_parent, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
-        prog="icbe", parents=[obs_parent],
+        prog="icbe",
         description="Interprocedural Conditional Branch Elimination "
                     "(PLDI 1997 reproduction)")
+    obs_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:

@@ -286,8 +286,7 @@ def _observability_section() -> str:
     counters = active.metrics.snapshot()["counters"]
     highlight = ["analysis.branches_analyzed", "analysis.pairs_examined",
                  "transform.branches_eliminated", "transform.undo_records",
-                 "transform.rollbacks", "verify.nodes_checked",
-                 "cache.analyses_reused", "cache.queries_interned"]
+                 "transform.rollbacks", "verify.nodes_checked"]
     counter_lines = "\n".join(f"{name:36s} {counters[name]}"
                               for name in highlight if name in counters)
 
@@ -312,39 +311,6 @@ snapshots across same-seed runs, asserted in `tests/obs/`):
 ```
 {counter_lines}
 ```
-"""
-
-
-def _cache_section() -> str:
-    """Analysis-context counters of one optimizer run per benchmark."""
-    from repro.benchgen.suite import benchmark_names
-    from repro.harness.metrics import prepare_benchmark
-    from repro.transform import ICBEOptimizer, OptimizerOptions
-
-    header = ("| benchmark | analyses reused | commits | rollbacks |\n"
-              "|---|---|---|---|")
-    rows = []
-    for name in benchmark_names():
-        context = prepare_benchmark(name)
-        stats = ICBEOptimizer(OptimizerOptions(
-            duplication_limit=100)).optimize(context.icfg).cache
-        rows.append(
-            f"| {name} | {stats.analyses_reused} | "
-            f"{stats.commits} | {stats.rollbacks} |")
-
-    return f"""\
-## Analysis context — shared caches across conditionals
-
-The optimizer runs as a pass pipeline over one shared, generation-keyed
-`AnalysisContext` (see docs/ARCHITECTURE.md): interned queries,
-memoized mod/ref, and one in-place analysis per conditional that also
-drives its in-place restructuring under the graph's undo log, verified
-on the transaction's edit frontier.  Every transaction's record and
-graph equal a clone-and-reanalyze restructuring of the graph it began
-on (`tests/property/test_transactions.py`).
-
-{header}
-{chr(10).join(rows)}
 """
 
 
@@ -463,7 +429,6 @@ def generate(path: str = "EXPERIMENTS.md") -> str:
     parts.append(_extensions_section())
     parts.append(_robustness_section())
     parts.append(_supervisor_section())
-    parts.append(_cache_section())
     parts.append(_observability_section())
 
     elapsed = time.perf_counter() - started

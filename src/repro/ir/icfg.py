@@ -16,8 +16,9 @@ The graph owns all mutation: nodes never hold edges, and the successor
 and predecessor indices are updated together.  That is what makes
 transactions cheap: between :meth:`ICFG.begin` and :meth:`ICFG.commit`
 every mutator appends an undo record, so :meth:`ICFG.rollback` costs
-what the transaction edited, and the log names the nodes whose
-well-formedness the edit can have changed (the verifier's *frontier*).
+what the transaction edited, and the log names the nodes and
+procedures whose well-formedness the edit can have changed (the
+verifier's *frontier*).  The log is the graph's only record of change.
 """
 
 from __future__ import annotations
@@ -103,13 +104,11 @@ class UndoMark:
     """Where a transaction began: :meth:`ICFG.rollback` returns here.
 
     Everything the undo log does not record per edit is captured once,
-    in constant space apart from the per-procedure dirty map.
+    in constant space.
     """
 
     #: Undo-log length at the mark.
     depth: int
-    generation: int
-    proc_touched: Dict[str, int]
     #: The id the allocator would hand out next.
     next_id: int
     node_count: int
@@ -126,43 +125,15 @@ class ICFG:
         self._succs: Dict[int, List[Edge]] = {}
         self._preds: Dict[int, List[Edge]] = {}
         self._ids = IdAllocator()
-        #: Monotonically-increasing mutation counter.  Every structural
-        #: mutation bumps it, so ``generation`` equality between two
-        #: points in time proves the graph was not touched in between —
-        #: the validity token for every cached analysis.
-        self.generation: int = 0
-        #: proc name -> generation of its last structural change.  A
-        #: name may outlive its procedure (``remove_unreachable`` can
-        #: delete procs); staleness queries must tolerate that.
-        self._proc_touched: Dict[str, int] = {}
         #: The open transaction's undo log (None outside transactions).
         self._undo: Optional[List[tuple]] = None
 
-    # -- mutation tracking ---------------------------------------------------
-
-    def _touch(self, *procs: str) -> None:
-        """Record a structural mutation affecting ``procs``."""
-        self.generation += 1
-        for proc in procs:
-            self._proc_touched[proc] = self.generation
-
     def mark_all_dirty(self) -> None:
         """Declare out-of-band mutation of unknown extent (e.g. fault
-        injection that bypasses the mutator methods): every procedure is
-        considered touched and the generation advances."""
+        injection that bypasses the mutator methods): from here on the
+        open transaction's log cannot bound its edit."""
         if self._undo is not None:
             self._undo.append((_ALL_DIRTY,))
-        self.generation += 1
-        for name in self.procs:
-            self._proc_touched[name] = self.generation
-        for name in self._proc_touched:
-            self._proc_touched[name] = self.generation
-
-    def dirty_procs_since(self, generation: int) -> Set[str]:
-        """Names of procedures structurally changed after ``generation``
-        (including procedures deleted since then)."""
-        return {name for name, gen in self._proc_touched.items()
-                if gen > generation}
 
     # -- transactions -----------------------------------------------------------
 
@@ -172,9 +143,7 @@ class ICFG:
         to undo itself."""
         if self._undo is None:
             self._undo = []
-        return UndoMark(len(self._undo), self.generation,
-                        dict(self._proc_touched), self._ids.next_id,
-                        len(self.nodes))
+        return UndoMark(len(self._undo), self._ids.next_id, len(self.nodes))
 
     def commit(self) -> int:
         """End the open transaction, keeping its edits; returns how many
@@ -188,8 +157,8 @@ class ICFG:
 
         The graph ends up exactly as :meth:`begin` found it: adjacency
         and entry/exit lists in their old order, node objects and their
-        fields, the generation, the dirty map and the id allocator.  The
-        transaction stays open; :meth:`commit` ends it.  Nodes are kept
+        fields, and the id allocator.  The transaction stays open;
+        :meth:`commit` ends it.  Nodes are kept
         in id order (ids are allocated ascending), so a rollback that
         revives removed nodes re-sorts the node tables.
         """
@@ -251,30 +220,45 @@ class ICFG:
                 ordered = sorted(table.items(), key=lambda item: item[0])
                 table.clear()
                 table.update(ordered)
-        self.generation = mark.generation
-        self._proc_touched = dict(mark.proc_touched)
         self._ids = IdAllocator(mark.next_id)
         return len(records)
 
-    def edited_since(self, mark: UndoMark) -> Optional[Set[int]]:
-        """Ids of the nodes the open transaction's log names since
-        ``mark``: added, removed, re-wired or written.  None when the log
-        cannot bound the edit — outside a transaction, or once
-        :meth:`mark_all_dirty` declared mutation of unknown extent."""
+    def changed_since(self, mark: UndoMark) -> bool:
+        """Whether the open transaction logged any edit since ``mark``."""
+        return self._undo is not None and len(self._undo) > mark.depth
+
+    def edited_since(self, mark: UndoMark
+                     ) -> Optional[Tuple[Set[int], Set[str]]]:
+        """What the open transaction's log names since ``mark``: the ids
+        of the nodes added, removed, re-wired or written, and the names
+        of the procedures whose nodes or edges were added or removed
+        (deleted procedures included; an edge names the procedures of
+        both endpoints).  None when the log cannot bound the edit —
+        outside a transaction, or once :meth:`mark_all_dirty` declared
+        mutation of unknown extent."""
         log = self._undo
         if log is None:
             return None
         named: Set[int] = set()
+        # Nodes whose own edges or existence changed; a node removed
+        # since names its procedure through its removal record.
+        structural: Set[int] = set()
+        procs: Set[str] = set()
         for index in range(mark.depth, len(log)):
             record = log[index]
             tag = record[0]
             if tag is _EDGE_ADDED or tag is _EDGE_REMOVED:
-                named.add(record[1].src)
-                named.add(record[1].dst)
-            elif tag is _NODE_ADDED or tag is _LISTED:
+                structural.add(record[1].src)
+                structural.add(record[1].dst)
+            elif tag is _NODE_ADDED:
+                structural.add(record[1])
+            elif tag is _LISTED:
                 named.add(record[1])
             elif tag is _NODE_REMOVED:
                 named.add(record[1].id)
+                procs.add(record[1].proc)
+            elif tag is _PROC_DELETED:
+                procs.add(record[1].name)
             elif tag is _FIELD_SET:
                 if isinstance(record[1], Node):
                     named.add(record[1].id)
@@ -288,7 +272,11 @@ class ICFG:
                 named.update(record[2])
             elif tag is _ALL_DIRTY:
                 return None
-        return named
+        named |= structural
+        nodes = self.nodes
+        procs.update(nodes[node_id].proc for node_id in structural
+                     if node_id in nodes)
+        return named, procs
 
     # -- logged raw writes --------------------------------------------------------
     #
@@ -334,7 +322,6 @@ class ICFG:
         if self._undo is not None:
             self._undo.append((_NODE_ADDED, node.id))
         self._ids.reserve_through(node.id)
-        self._touch(node.proc)
         return node
 
     def new_id(self) -> int:
@@ -346,25 +333,21 @@ class ICFG:
         if edge in succs:
             raise LoweringError(f"duplicate edge {edge}")
         preds = self._preds[dst]
-        procs = (self.nodes[src].proc, self.nodes[dst].proc)
         succs.append(edge)
         preds.append(edge)
         if self._undo is not None:
             self._undo.append((_EDGE_ADDED, edge))
-        self._touch(*procs)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
         succs = self._succs[edge.src]
         preds = self._preds[edge.dst]
-        procs = (self.nodes[edge.src].proc, self.nodes[edge.dst].proc)
         at_src = succs.index(edge)
         at_dst = preds.index(edge)
         del succs[at_src]
         del preds[at_dst]
         if self._undo is not None:
             self._undo.append((_EDGE_REMOVED, edge, at_src, at_dst))
-        self._touch(*procs)
 
     def has_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
         return Edge(src, dst, kind) in self._succs[src]
@@ -389,7 +372,6 @@ class ICFG:
                 del info.exits[exit_at]
         if self._undo is not None:
             self._undo.append((_NODE_REMOVED, node, entry_at, exit_at))
-        self._touch(node.proc)
 
     def duplicate_node(self, node: Node) -> Node:
         """Register a copy of ``node`` under a fresh id (no edges).
@@ -488,11 +470,6 @@ class ICFG:
         for node_id in sorted(self.nodes):
             yield self.nodes[node_id]
 
-    def proc_nodes(self, proc: str) -> Iterator[Node]:
-        for node in self.iter_nodes():
-            if node.proc == proc:
-                yield node
-
     def branch_nodes(self) -> List[BranchNode]:
         return [n for n in self.iter_nodes() if isinstance(n, BranchNode)]
 
@@ -560,7 +537,6 @@ class ICFG:
                     self._undo.append((_PROC_DELETED, self.procs[name],
                                        position))
                 del self.procs[name]
-                self._touch(name)
         return len(doomed)
 
     def sort_predecessors(self) -> None:
@@ -587,6 +563,4 @@ class ICFG:
             other._succs[node_id] = list(self._succs[node_id])
             other._preds[node_id] = list(self._preds[node_id])
         other._ids = self._ids.clone()
-        other.generation = self.generation
-        other._proc_touched = dict(self._proc_touched)
         return other

@@ -32,7 +32,7 @@ frontier (:func:`edit_frontier`) instead of the whole graph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import VerificationError
 from repro.ir.icfg import EdgeKind, ICFG, INTRA_KINDS, UndoMark
@@ -204,10 +204,9 @@ def _check_node(icfg: ICFG, node: Node) -> None:
 def _check_edge_symmetry_scoped(icfg: ICFG, node_ids: Iterable[int]) -> None:
     """Edge-index symmetry restricted to edges incident to ``node_ids``.
 
-    Sufficient when every edge mutation touches both endpoint
-    procedures (which :class:`~repro.ir.icfg.ICFG`'s mutators
-    guarantee): an edge between two clean procedures cannot have
-    changed, so only scope-incident edges need re-checking.
+    Sufficient when ``node_ids`` covers both endpoints of every edge
+    added or removed since the graph was last known clean (the undo
+    log's edge records name both): any other edge cannot have changed.
     """
     for node_id in node_ids:
         edges = icfg.succ_edges(node_id)
@@ -253,55 +252,49 @@ def _check_proc_lists(icfg: ICFG,
         _fail("a node appears twice in entry/exit lists")
 
 
-def verify_icfg(icfg: ICFG, procs: Optional[Iterable[str]] = None,
-                since: Optional[UndoMark] = None) -> None:
+def verify_icfg(icfg: ICFG, since: Optional[UndoMark] = None) -> None:
     """Raise :class:`VerificationError` on the first broken invariant.
-
-    With ``procs`` the check is *scoped*: only nodes, lists, and
-    incident edges of the named procedures are re-checked.  That is
-    sound for incremental re-verification exactly when ``procs`` covers
-    every procedure structurally changed since the graph was last known
-    clean (the ICFG's dirty-set tracking provides that set, and
-    out-of-band mutation marks everything dirty).
 
     With ``since`` — the mark of the graph's open transaction — only
     the transaction's edit frontier is re-checked (see
-    :func:`edit_frontier`); a transaction whose log cannot bound its
-    edit falls back to the dirty-procedure check.  Both assume the
-    graph was clean when the transaction began.  With neither, the
-    check is full.
+    :func:`edit_frontier`), which assumes the graph was clean when the
+    transaction began.  Without it, or when the transaction's log cannot
+    bound its edit, the check is full.
     """
     from repro import obs
-    with obs.span("ir.verify", scoped=procs is not None or since is not None):
-        _verify(icfg, procs, since)
+    with obs.span("ir.verify", scoped=since is not None):
+        _verify(icfg, since)
 
 
-def edit_frontier(icfg: ICFG, mark: UndoMark) -> Optional[List[int]]:
-    """Ids, ascending, of every node whose :func:`_check_node` verdict
-    the open transaction can have changed since ``mark``; None when
-    its undo log cannot bound the edit.
+def edit_frontier(icfg: ICFG, mark: UndoMark
+                  ) -> Optional[Tuple[List[int], Set[str]]]:
+    """The open transaction's edit since ``mark``, as the verifier needs
+    it: the ids, ascending, of every node whose :func:`_check_node`
+    verdict the edit can have changed, and the live procedures whose
+    entry/exit lists it can have changed.  None when the undo log cannot
+    bound the edit.
 
     A node's verdict reads its own edges, fields and entry/exit-list
     membership, all of which only change through logged edits that name
     it.  The one exception is a call's return-map completeness, which
-    reads its callee's body, so calls into a dirty procedure (found
+    reads its callee's body, so calls into an edited procedure (found
     through the CALL in-edges of its entries) join the frontier too.
     """
     edited = icfg.edited_since(mark)
     if edited is None:
         return None
-    frontier = {node_id for node_id in edited if node_id in icfg.nodes}
-    for name in icfg.dirty_procs_since(mark.generation):
-        info = icfg.procs.get(name)
-        if info is None:
-            continue
-        for entry_id in info.entries:
-            if entry_id not in icfg.nodes:
+    named, procs = edited
+    nodes = icfg.nodes
+    frontier = {node_id for node_id in named if node_id in nodes}
+    live = {name for name in procs if name in icfg.procs}
+    for name in live:
+        for entry_id in icfg.procs[name].entries:
+            if entry_id not in nodes:
                 continue
             for edge in icfg.pred_edges(entry_id):
-                if edge.kind is EdgeKind.CALL and edge.src in icfg.nodes:
+                if edge.kind is EdgeKind.CALL and edge.src in nodes:
                     frontier.add(edge.src)
-    return sorted(frontier)
+    return sorted(frontier), live
 
 
 def _check_nodes(icfg: ICFG, nodes: Iterable[Node]) -> None:
@@ -316,33 +309,17 @@ def _check_nodes(icfg: ICFG, nodes: Iterable[Node]) -> None:
         obs.add("verify.nodes_checked", checked)
 
 
-def _verify(icfg: ICFG, procs: Optional[Iterable[str]],
-            since: Optional[UndoMark]) -> None:
+def _verify(icfg: ICFG, since: Optional[UndoMark]) -> None:
     """The untraced body of :func:`verify_icfg`."""
     if icfg.main not in icfg.procs:
         _fail(f"main procedure {icfg.main!r} missing")
-    if since is not None:
-        dirty = icfg.dirty_procs_since(since.generation)
-        frontier = edit_frontier(icfg, since)
-        if frontier is None:
-            procs = dirty
-        else:
-            _check_edge_symmetry_scoped(icfg, frontier)
-            _check_proc_lists(icfg, scope={name for name in dirty
-                                           if name in icfg.procs})
-            _check_nodes(icfg, (icfg.nodes[node_id] for node_id in frontier))
-            return
-    if procs is None:
+    frontier = edit_frontier(icfg, since) if since is not None else None
+    if frontier is None:
         _check_edge_symmetry(icfg)
         _check_proc_lists(icfg)
         _check_nodes(icfg, icfg.iter_nodes())
         return
-    scope = set(procs)
-    if not scope:
-        return
-    scoped_nodes = [node for node in icfg.iter_nodes()
-                    if node.proc in scope]
-    _check_edge_symmetry_scoped(icfg, [node.id for node in scoped_nodes])
-    _check_proc_lists(icfg, scope={name for name in scope
-                                   if name in icfg.procs})
-    _check_nodes(icfg, scoped_nodes)
+    node_ids, procs = frontier
+    _check_edge_symmetry_scoped(icfg, node_ids)
+    _check_proc_lists(icfg, scope=procs)
+    _check_nodes(icfg, (icfg.nodes[node_id] for node_id in node_ids))

@@ -32,8 +32,7 @@ from repro.robustness.guards import DeadlineGuard, ResourceGuard
 from repro.robustness.journal import Journal, load_outcomes
 from repro.robustness.report import (DiagnosticsBundle, capture_bundle,
                                      write_bundle)
-from repro.robustness.runtime import (active_context, checkpoint,
-                                      robustness_context)
+from repro.robustness.runtime import checkpoint, robustness_context
 from repro.robustness.supervisor import (BatchReport, BatchSupervisor,
                                          JobSpec, SupervisorOptions,
                                          run_batch)
@@ -44,7 +43,7 @@ __all__ = [
     "FaultPlan", "FaultSpec", "FiredFault", "JobOutcome",
     "JobSpec", "Journal", "LADDER", "OriginalRuns", "ResourceGuard",
     "SupervisorOptions",
-    "Tier", "active_context", "capture_bundle", "checkpoint", "corrupt_icfg",
+    "Tier", "capture_bundle", "checkpoint", "corrupt_icfg",
     "differential_check", "load_outcomes", "require_equivalent",
     "robustness_context", "run_batch", "seeded_workloads", "tier_names",
     "write_bundle",

@@ -135,11 +135,10 @@ def corrupt_icfg(icfg: ICFG, action: str, rng: random.Random) -> str:
 
     Several actions bypass the graph's mutator methods on purpose (that
     is the kind of bug they simulate), so the graph is marked wholly
-    dirty up front: generation-gated machinery (scoped verification, the
-    analysis context) must never mistake a corrupted graph for an
-    untouched one.  Each raw write first records the old value in the
-    graph's undo log, so rolling back an open transaction heals the
-    damage exactly.
+    dirty up front: the open transaction's undo log then no longer
+    bounds its edit, and the frontier check falls back to the full one.
+    Each raw write first records the old value in the undo log, so
+    rolling back an open transaction heals the damage exactly.
     """
     icfg.mark_all_dirty()
     if action == "drop-edge":

@@ -13,39 +13,27 @@ Timing discipline (audited): every deadline in this module is computed
 from ``time.monotonic()``, never ``time.time()``.  Wall-clock time can
 jump (NTP steps, suspend/resume), which would make a ``time.time()``
 deadline fire early, late, or never.  :class:`DeadlineGuard` is the one
-deadline implementation everything shares; it additionally survives the
-two clock pathologies a batch supervisor exposes it to:
-
-- **cross-process values** — monotonic clocks are only comparable
-  within one process, so a deadline is serialized as *remaining budget*
-  (:meth:`DeadlineGuard.to_wire`) and re-armed against the receiving
-  process's own clock, never as an absolute timestamp;
-- **non-monotonic injected clocks** — a clock that steps backwards
-  (tests inject these; a subprocess re-arming from a parent snapshot is
-  the production analogue) re-arms the origin instead of silently
-  extending the budget, so the guard can fire late by at most the step,
-  and never hangs forever.
+deadline implementation everything shares; it never stores an absolute
+timestamp, and a clock that steps backwards (tests inject these)
+re-arms its origin instead of silently extending the budget, so the
+guard can fire late by at most the step, and never hangs forever.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.errors import BudgetExceeded
 from repro.ir.icfg import ICFG
 
 
 class DeadlineGuard:
-    """A monotonic wall-clock budget, safe to ship across processes.
+    """A monotonic wall-clock budget.
 
     ``budget_s`` is the allowed elapsed time from :meth:`start`.
     ``clock`` is injectable so tests can trip the deadline without
-    sleeping.  The guard never stores an absolute wall-clock timestamp:
-    :meth:`to_wire` emits the *remaining* budget and
-    :meth:`from_wire` re-arms it against the local clock, which is the
-    only sound way to hand a deadline to a worker subprocess (each
-    process's ``time.monotonic()`` has its own arbitrary epoch).
+    sleeping.
     """
 
     def __init__(self, budget_s: Optional[float],
@@ -67,9 +55,8 @@ class DeadlineGuard:
     def elapsed(self) -> float:
         """Seconds consumed since :meth:`start` (0.0 if unarmed).
 
-        A clock observed *behind* the armed origin — an injected
-        non-monotonic clock, or a wire value that leaked across a
-        process boundary — re-arms the origin at the observed value
+        A clock observed *behind* the armed origin (an injected
+        non-monotonic clock) re-arms the origin at the observed value
         rather than crediting the guard with negative elapsed time.
         """
         if self._origin is None:
@@ -91,17 +78,6 @@ class DeadlineGuard:
         """True when an armed budget has been fully consumed."""
         return (self.budget_s is not None and self._origin is not None
                 and self.elapsed() > self.budget_s)
-
-    def to_wire(self) -> Dict[str, Optional[float]]:
-        """Serialize for a subprocess: remaining budget, no timestamps."""
-        return {"budget_s": self.remaining()}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Optional[float]],
-                  clock: Callable[[], float] = time.monotonic
-                  ) -> "DeadlineGuard":
-        """Rebuild and re-arm a guard shipped from another process."""
-        return cls(wire.get("budget_s"), clock=clock).start()
 
 
 class ResourceGuard:

@@ -63,8 +63,3 @@ def checkpoint(site: str, icfg: Optional[ICFG] = None) -> None:
     """
     if _ACTIVE is not None:
         _ACTIVE.hit(site, icfg)
-
-
-def active_context() -> Optional[RobustnessContext]:
-    """The innermost active context, or None outside any context."""
-    return _ACTIVE

@@ -1,16 +1,21 @@
-"""Generation counter and per-procedure dirty sets on the ICFG.
+"""The procedures a transaction touched, read from its undo log.
 
-Every mutator must bump the generation and mark the touched procedures,
-clones must carry both, and a transaction rollback must put them back —
-that last property is what lets the optimizer's analysis context keep
-its caches across a rolled-back transaction.
+:meth:`~repro.ir.icfg.ICFG.edited_since` scans the log once and returns
+the nodes it names and the procedures whose nodes or edges were added
+or removed.  The frontier check reads both: the procedures scope the
+entry/exit-list checks and bring the callers of their entries into the
+frontier.
 """
 
 import pytest
 
+from tests.helpers import build
+
+from repro.errors import VerificationError
 from repro.ir.expr import Const
 from repro.ir.icfg import EdgeKind, ICFG, ProcInfo
 from repro.ir.nodes import BranchNode, EntryNode, ExitNode, NopNode
+from repro.ir.verify import verify_icfg
 
 
 def two_proc_graph():
@@ -25,120 +30,99 @@ def two_proc_graph():
     return icfg
 
 
-def test_every_mutator_bumps_the_generation():
+def touched_procs(icfg, mark):
+    return icfg.edited_since(mark)[1]
+
+
+def test_every_structural_mutator_names_its_procedure():
     icfg = two_proc_graph()
-    seen = icfg.generation
-    node = icfg.add_node(NopNode(icfg.new_id(), "main"))
-    assert icfg.generation > seen
-    seen = icfg.generation
+    mark = icfg.begin()
+    node = icfg.add_node(NopNode(icfg.new_id(), "helper"))
+    assert touched_procs(icfg, mark) == {"helper"}
+    mark = icfg.begin()
     entry_id = icfg.procs["main"].entries[0]
-    edge = icfg.add_edge(entry_id, node.id, EdgeKind.NORMAL)
-    assert icfg.generation > seen
-    seen = icfg.generation
+    edge = icfg.add_edge(entry_id, icfg.procs["main"].exits[0],
+                         EdgeKind.TRUE)
+    assert touched_procs(icfg, mark) == {"main"}
+    mark = icfg.begin()
     icfg.remove_edge(edge)
-    assert icfg.generation > seen
-    seen = icfg.generation
+    assert touched_procs(icfg, mark) == {"main"}
+    mark = icfg.begin()
     icfg.remove_node(node.id)
-    assert icfg.generation > seen
-    seen = icfg.generation
-    icfg.duplicate_node(icfg.nodes[icfg.procs["main"].exits[0]])
-    assert icfg.generation > seen
-    seen = icfg.generation
+    assert touched_procs(icfg, mark) == {"helper"}
+    mark = icfg.begin()
+    icfg.duplicate_node(icfg.nodes[icfg.procs["helper"].exits[0]])
+    assert touched_procs(icfg, mark) == {"helper"}
+    mark = icfg.begin()
     icfg.remove_unreachable()
-    assert icfg.generation > seen
+    # Nothing calls helper: every node of it goes, and so does it.
+    assert "helper" not in icfg.procs
+    assert touched_procs(icfg, mark) == {"helper"}
 
 
 def test_dirty_sets_name_exactly_the_touched_procedures():
     icfg = two_proc_graph()
-    base = icfg.generation
+    mark = icfg.begin()
     icfg.add_node(NopNode(icfg.new_id(), "helper"))
-    assert icfg.dirty_procs_since(base) == {"helper"}
-    assert icfg.dirty_procs_since(icfg.generation) == set()
+    assert touched_procs(icfg, mark) == {"helper"}
+    assert touched_procs(icfg, icfg.begin()) == set()
 
 
 def test_cross_procedure_edge_dirties_both_endpoints():
     icfg = two_proc_graph()
-    base = icfg.generation
+    mark = icfg.begin()
     icfg.add_edge(icfg.procs["main"].entries[0],
                   icfg.procs["helper"].entries[0], EdgeKind.CALL)
-    assert icfg.dirty_procs_since(base) == {"main", "helper"}
+    assert touched_procs(icfg, mark) == {"main", "helper"}
+
+
+def test_a_removed_endpoint_still_names_its_procedure():
+    icfg = two_proc_graph()
+    mark = icfg.begin()
+    nop = icfg.add_node(NopNode(icfg.new_id(), "helper"))
+    icfg.add_edge(icfg.procs["main"].entries[0], nop.id, EdgeKind.CALL)
+    icfg.remove_node(nop.id)
+    assert touched_procs(icfg, mark) == {"main", "helper"}
 
 
 def test_mark_all_dirty_taints_every_procedure():
+    """Mutation of unknown extent leaves the log unbounded, so the next
+    check is a full one: it finds damage in a procedure the log never
+    named."""
     icfg = two_proc_graph()
-    base = icfg.generation
+    mark = icfg.begin()
     icfg.mark_all_dirty()
-    assert icfg.dirty_procs_since(base) == {"main", "helper"}
+    assert icfg.edited_since(mark) is None
+    icfg.procs["helper"].exits.clear()  # an unlogged raw write
+    with pytest.raises(VerificationError, match="'helper' has no exit"):
+        verify_icfg(icfg, since=mark)
 
 
-def test_clone_carries_generation_and_dirty_sets():
-    icfg = two_proc_graph()
-    base = icfg.generation
-    icfg.add_node(NopNode(icfg.new_id(), "main"))
-    copy = icfg.clone()
-    assert copy.generation == icfg.generation
-    assert copy.dirty_procs_since(base) == icfg.dirty_procs_since(base)
-    # Divergent mutation after the clone stays divergent.
-    copy.add_node(NopNode(copy.new_id(), "helper"))
-    assert copy.generation > icfg.generation
-
-
-def test_snapshot_restore_restores_the_generation():
+def test_rollback_leaves_nothing_named():
     icfg = two_proc_graph()
     mark = icfg.begin()
-    taken_at = icfg.generation
     icfg.add_node(NopNode(icfg.new_id(), "main"))
-    assert icfg.generation > taken_at
+    assert icfg.changed_since(mark)
     icfg.rollback(mark)
-    assert icfg.generation == taken_at
-    assert icfg.dirty_procs_since(taken_at) == set()
+    assert not icfg.changed_since(mark)
+    assert icfg.edited_since(mark) == (set(), set())
 
 
-def test_restore_after_rollback_leaves_cached_analyses_valid():
-    """The satellite regression: a rolled-back transaction must not
-    cost the analysis context its caches.  After restore, the context
-    bound to the pre-transaction generation is in sync again and its
-    memoized facts still describe the restored graph exactly."""
-    from tests.helpers import build
-
-    from repro.analysis.context import AnalysisContext
-
+def test_field_writes_name_nodes_but_no_procedure():
+    """A call's return map or entry is a field of the call: it changes
+    the call's own verdict, not its procedure's body."""
     icfg = build("""
-        global err = 0;
-        proc may_fail(v) {
-            if (v < 0) { err = 1; return 0; }
-            err = 0;
-            return v;
-        }
-        proc main() {
-            var a = may_fail(input());
-            if (err == 1) { print 1; }
-            var b = may_fail(input());
-            if (err == 1) { print 2; }
-        }
+        proc f(v) { return v; }
+        proc main() { var a = f(input()); print a; }
     """)
-    context = AnalysisContext()
-    context.bind(icfg)
-    ids = context.branch_ids(icfg)
-    mods = context.mod_sets(icfg)
-
-    # A transaction mutates the graph, then rolls back its undo log.
+    call = icfg.call_nodes()[0]
     mark = icfg.begin()
-    doomed = icfg.add_node(NopNode(icfg.new_id(), "main"))
-    icfg.add_edge(icfg.procs["main"].entries[0], doomed.id, EdgeKind.CALL)
-    assert not context.in_sync(icfg)
-    icfg.rollback(mark)
-    icfg.commit()
-    context.rollback(icfg)
-    assert context.in_sync(icfg)
-    # Nothing was invalidated, and the memos match a fresh derivation.
-    assert context.branch_ids(icfg) is ids
-    assert context.mod_sets(icfg) is mods
-    assert ids == sorted(b.id for b in icfg.branch_nodes())
+    icfg.set_call_entry(call, call.entry_id)
+    assert icfg.edited_since(mark) == ({call.id}, set())
 
 
 def test_branch_node_alone_does_not_dirty_other_procs():
     icfg = two_proc_graph()
-    base = icfg.generation
+    mark = icfg.begin()
     icfg.add_node(BranchNode(icfg.new_id(), "main", Const(1)))
-    assert icfg.dirty_procs_since(base) == {"main"}
+    assert touched_procs(icfg, mark) == {"main"}

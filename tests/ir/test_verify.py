@@ -336,7 +336,7 @@ def test_frontier_rechecks_calls_into_an_edited_callee():
     moved = icfg.pred_edges(exit_node.id)[0]
     icfg.remove_edge(moved)
     icfg.add_edge(moved.src, copy.id, moved.kind)
-    assert icfg.dirty_procs_since(mark.generation) == {"f"}
+    assert icfg.edited_since(mark)[1] == {"f"}
     frontier_rejects(icfg, mark, "lacks return addresses")
 
 

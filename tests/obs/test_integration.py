@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro import obs
 from repro.cli import main as cli_main
 from repro.obs.export import read_jsonl
@@ -42,6 +44,27 @@ def test_trace_file_written_even_when_the_command_fails(tmp_path):
     assert cli_main(["optimize", missing, "--trace", trace]) == 2
     data = read_jsonl(trace)
     assert data["meta"]["command"] == "optimize"
+
+
+@pytest.mark.parametrize("command, args, span", [
+    ("optimize", ["suite:li_like@1"], "pass.restructure"),
+    ("run", ["suite:li_like@1"], "interp.run"),
+    ("batch", ["suite:compress_like@1", "--run-dir", "{tmp}/run",
+               "--seed", "3"], "batch.run"),
+], ids=["optimize", "run", "batch"])
+def test_trace_given_before_the_subcommand(tmp_path, command, args, span):
+    trace = str(tmp_path / "before.jsonl")
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    assert cli_main(["--trace", trace, command] + args) == 0
+    data = read_jsonl(trace)
+    assert data["meta"]["command"] == command
+    names = {record["name"] for record in data["spans"]}
+    assert {f"cli.{command}", span} <= names
+
+
+def test_profile_given_before_the_subcommand(capsys):
+    assert cli_main(["--profile", "optimize", "suite:li_like@1"]) == 0
+    assert "pass.restructure" in capsys.readouterr().err
 
 
 def _batch(run_dir, trace=False):

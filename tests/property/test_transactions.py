@@ -4,11 +4,11 @@
   (in-place restructuring, every corruption action, raises mid-split),
   rolling its undo log back leaves the graph equal to a clone taken at
   ``begin()``: same nodes and fields, same adjacency, entry and exit
-  list orders, same generation, dirty map and next id.  A write inside
-  a transaction that bypasses the log breaks this.
+  list orders, same next id.  A write inside a transaction that
+  bypasses the log breaks this.
 - **The frontier is sound.**  On every transaction, the edit-frontier
-  check and the dirty-procedure check agree (both pass or both raise),
-  with edges dropped or strayed just before verification.
+  check and the full check agree (both pass or both raise), with edges
+  dropped or strayed just before verification.
 - **The reference agrees.**  On fault-free runs, every transaction (one
   in-place analysis, in-place restructuring, frontier verification)
   produces the record, and for an optimized conditional the graph, of
@@ -30,7 +30,8 @@ from repro.ir import dump_icfg, lower_program, verify_icfg
 from repro.ir.icfg import ICFG
 from repro.robustness import CORRUPTION_ACTIONS, FaultPlan, FaultSpec
 from repro.transform import ICBEOptimizer, OptimizerOptions
-from repro.transform.passes import RestructurePass
+from repro.transform import pipeline
+from repro.transform.pipeline import BranchRecord
 from repro.transform.restructure import restructure_branch
 
 OPTIONS = GeneratorOptions(procedures=3, statements_per_proc=7)
@@ -56,8 +57,6 @@ def assert_same_graph(live, reference):
     for name, info in reference.procs.items():
         assert live.procs[name] == info
     assert live.globals == reference.globals
-    assert live.generation == reference.generation
-    assert live._proc_touched == reference._proc_touched
     assert live._ids.next_id == reference._ids.next_id
 
 
@@ -122,19 +121,17 @@ def verdict(check):
        action=st.sampled_from(("drop-edge", "stray-edge")),
        fault_seed=st.integers(0, 99))
 @settings(max_examples=15, deadline=None)
-def test_frontier_and_dirty_procedure_checks_agree(seed, hits, action,
-                                                   fault_seed):
+def test_frontier_and_full_checks_agree(seed, hits, action, fault_seed):
     icfg = lower_program(generate_program(seed, OPTIONS))
     verdicts = []
 
-    def both_checks(graph, procs=None, since=None):
+    def both_checks(graph, since=None):
         if since is not None:
             frontier = verdict(lambda: verify_icfg(graph, since=since))
-            dirty = graph.dirty_procs_since(since.generation)
-            by_procs = verdict(lambda: verify_icfg(graph, procs=dirty))
-            verdicts.append((frontier, by_procs))
-            assert frontier == by_procs
-        verify_icfg(graph, procs=procs, since=since)
+            full = verdict(lambda: verify_icfg(graph))
+            verdicts.append((frontier, full))
+            assert frontier == full
+        verify_icfg(graph, since=since)
 
     plan = FaultPlan([FaultSpec("transform:verify", hit, action,
                                 seed=fault_seed) for hit in set(hits)])
@@ -142,11 +139,11 @@ def test_frontier_and_dirty_procedure_checks_agree(seed, hits, action,
         config=AnalysisConfig(budget=10_000), fault_plan=plan))
     # Both corruptions go through the logged mutators; without the
     # blanket mark_all_dirty() the frontier check does the work instead
-    # of falling back to the dirty-procedure check.
+    # of falling back to the full check.
     with mock.patch.object(ICFG, "mark_all_dirty", lambda graph: None), \
             mock.patch("repro.transform.restructure.verify_icfg",
                        both_checks), \
-            mock.patch("repro.transform.passes.verify_icfg", both_checks):
+            mock.patch("repro.transform.pipeline.verify_icfg", both_checks):
         report = optimizer.optimize(icfg)
     verify_icfg(report.optimized)
     if plan.fired and not plan.fired[0].detail.startswith("noop"):
@@ -154,7 +151,7 @@ def test_frontier_and_dirty_procedure_checks_agree(seed, hits, action,
 
 
 def record_fields(result):
-    record = ICBEOptimizer._record(result)
+    record = BranchRecord.from_result(result)
     return (record.outcome, record.duplication_bound, record.node_growth,
             record.eliminated_copies, record.pairs_examined,
             record.budget_exhausted)
@@ -165,23 +162,23 @@ def optimize_checking_transactions(icfg, options):
     ``restructure_branch`` without ``since`` on the graph it began on.
     A failed comparison is collected rather than raised, because the
     optimizer would record it as a failed transaction and carry on."""
-    attempt = RestructurePass._attempt
+    attempt = pipeline._attempt
     seen, expected = [], []
 
-    def checked_attempt(self, state, branch_id, mark):
+    def checked_attempt(state, branch_id, mark):
         opts = state.options
         reference = restructure_branch(
             state.current, branch_id, opts.config, opts.duplication_limit,
             profile=state.gate_profile,
             min_benefit_per_node=opts.min_benefit_per_node)
-        result = attempt(self, state, branch_id, mark)
+        result = attempt(state, branch_id, mark)
         same_graph = (not result.applied or dump_icfg(result.new_icfg)
                       == dump_icfg(reference.new_icfg))
         seen.append((branch_id, record_fields(result), same_graph))
         expected.append((branch_id, record_fields(reference), True))
         return result
 
-    with mock.patch.object(RestructurePass, "_attempt", checked_attempt):
+    with mock.patch.object(pipeline, "_attempt", checked_attempt):
         report = ICBEOptimizer(options).optimize(icfg)
     assert seen == expected
     assert len(seen) == len(report.records)

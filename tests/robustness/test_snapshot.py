@@ -1,7 +1,7 @@
 """Transaction rollback: the mechanism under every transaction.
 
-``ICFG.begin`` takes a mark (a constant-size snapshot of the graph's
-clocks and undo-log depth); every mutator then logs how to undo itself,
+``ICFG.begin`` takes a mark (a constant-size snapshot of the undo-log
+depth, the id allocator and the node count); every mutator then logs how to undo itself,
 and ``ICFG.rollback`` replays that log back to the mark.
 """
 
@@ -50,10 +50,9 @@ def test_restore_roundtrips_structure():
 def test_taking_a_snapshot_leaves_the_graph_unharmed():
     icfg = build(FGETC_LIKE)
     reference = dump_icfg(icfg)
-    generation = icfg.generation
-    icfg.begin()
+    mark = icfg.begin()
     assert dump_icfg(icfg) == reference
-    assert icfg.generation == generation
+    assert not icfg.changed_since(mark)
     verify_icfg(icfg)
 
 
@@ -125,5 +124,5 @@ def test_mutations_outside_a_transaction_are_not_logged():
     icfg = build(FGETC_LIKE)
     split_one_node(icfg)
     mark = icfg.begin()
-    assert icfg.edited_since(mark) == set()
+    assert icfg.edited_since(mark) == (set(), set())
     assert icfg.rollback(mark) == 0

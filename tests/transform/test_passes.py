@@ -1,16 +1,12 @@
-"""The pass-manager pipeline and its shared analysis context."""
+"""The optimizer's stages and the transactions they run."""
 
 from tests.helpers import build
 
 from repro import obs
 from repro.analysis import AnalysisConfig
-from repro.analysis.context import AnalysisContext
 from repro.benchgen.suite import load_benchmark
 from repro.ir import dump_icfg, lower_program
 from repro.transform import ICBEOptimizer, OptimizerOptions
-from repro.transform.passes import (FinalValidatePass, PassManager,
-                                    RestructurePass, SimplifyPass,
-                                    build_default_pipeline)
 
 CONFIG = AnalysisConfig(budget=100_000)
 
@@ -37,15 +33,14 @@ def run(icfg, **kwargs):
 
 
 def test_default_pipeline_has_the_three_passes_in_order():
-    passes = build_default_pipeline().passes
-    assert [type(p) for p in passes] == [RestructurePass, SimplifyPass,
-                                         FinalValidatePass]
-
-
-def test_pass_preservation_declarations():
-    assert RestructurePass.preserves == frozenset()
-    assert SimplifyPass.preserves == frozenset({AnalysisContext.MODREF})
-    assert FinalValidatePass.preserves == AnalysisContext.ALL
+    with obs.session() as active:
+        run(build(SOURCE))
+    spans = active.export_spans()
+    optimize = next(s for s in spans if s["name"] == "optimize")
+    stages = [s["name"] for s in spans
+              if s["parent"] == optimize["id"]]
+    assert stages == ["pass.restructure", "pass.simplify",
+                      "pass.final-validate"]
 
 
 def test_each_conditional_is_analyzed_once():
@@ -63,42 +58,23 @@ def test_each_conditional_is_analyzed_once():
             == len(report.records))
 
 
-def test_cached_run_reports_cache_activity():
+def test_fruitless_transactions_replay_nothing():
     icfg = build(SOURCE)
     with obs.session() as active:
         report = run(icfg)
-    stats = report.cache
-    assert stats.commits >= report.optimized_count
-    assert stats.analyses_reused > 0
+    assert report.optimized_count > 0
     # Fruitless transactions roll back an empty undo log: nothing is
     # replayed, and none of them counts as a rollback.
     assert len(report.records) > report.optimized_count
-    assert stats.rollbacks == 0
     counters = active.metrics.snapshot()["counters"]
     assert counters["transform.undo_records"] > 0
     assert counters.get("transform.undo_replayed", 0) == 0
+    assert "transform.rollbacks" not in counters
+    assert not any(name.startswith("cache.") for name in counters)
 
 
 def test_input_graph_is_never_mutated_despite_in_place_transactions():
     icfg = build(SOURCE)
     pristine = dump_icfg(icfg)
-    generation = icfg.generation
     run(icfg)
     assert dump_icfg(icfg) == pristine
-    assert icfg.generation == generation
-
-
-def test_simplify_commit_preserves_summaries():
-    """Nop compaction's commit must not cost the mod/ref summaries (it
-    declares MODREF preserved), even though it dirties procedures."""
-    icfg = build(SOURCE)
-    # Intraprocedural mode is the one that consults mod/ref.
-    report = run(icfg, duplication_limit=0,
-                 config=AnalysisConfig(budget=100_000,
-                                       interprocedural=False))
-    # With splitting gated off entirely, nothing dirties the graph
-    # before simplify, and simplify's own commit preserves mod/ref: it
-    # is never invalidated across the run, while the branch index is.
-    assert report.cache.modref_invalidated == 0
-    assert report.cache.index_invalidated == 1
-    assert report.optimized_count == 0

@@ -6,11 +6,10 @@ from repro.ir import verify_icfg
 from repro.transform import (BranchOutcome, ICBEOptimizer, OptimizerOptions)
 
 
-def make_optimizer(interprocedural=True, limit=None, budget=10000,
-                   growth=None):
+def make_optimizer(interprocedural=True, limit=None, budget=10000):
     return ICBEOptimizer(OptimizerOptions(
         config=AnalysisConfig(interprocedural=interprocedural, budget=budget),
-        duplication_limit=limit, max_growth_factor=growth))
+        duplication_limit=limit))
 
 
 def test_optimizes_fgetc_example(fgetc_icfg):
@@ -61,13 +60,6 @@ def test_zero_duplication_limit_blocks_costly_branches():
     report = make_optimizer(limit=0).optimize(icfg)
     outcomes = {r.branch_id: r.outcome for r in report.records}
     assert BranchOutcome.OVER_LIMIT in outcomes.values()
-
-
-def test_growth_cap_stops_optimization():
-    report = make_optimizer(growth=1.0).optimize(build(FGETC_LIKE))
-    # With the cap at 1.0x the optimizer may stop early but must still
-    # return a verified graph.
-    verify_icfg(report.optimized)
 
 
 def test_intraprocedural_never_beats_interprocedural():

@@ -307,26 +307,24 @@ def counting_verified_nodes(action):
 
 def locality_transaction(padding):
     """One conditional's in-place transaction on LOCALITY; returns the
-    nodes its frontier check examined and the dirty-procedure check's
-    count for the same edit."""
+    nodes its frontier check examined and the full check's count for
+    the same graph."""
     icfg = build(LOCALITY.replace("PADDING", padding))
     branch = find_branch(icfg, "f == 1")
     mark = icfg.begin()
     result, frontier = counting_verified_nodes(
         lambda: restructure_branch(icfg, branch.id, CONFIG, since=mark))
     assert result.applied
-    dirty = icfg.dirty_procs_since(mark.generation)
-    _, by_procs = counting_verified_nodes(
-        lambda: verify_icfg(icfg, procs=dirty))
-    return frontier, by_procs
+    _, full = counting_verified_nodes(lambda: verify_icfg(icfg))
+    return frontier, full
 
 
 def test_frontier_verification_is_local():
     """Padding the conditional's procedure with unrelated straight-line
     code must not change what its transaction verifies."""
-    frontier, by_procs = locality_transaction("")
-    padded_frontier, padded_by_procs = locality_transaction(
+    frontier, full = locality_transaction("")
+    padded_frontier, padded_full = locality_transaction(
         "x = x + 1; print x;\n" * 40)
     assert padded_frontier == frontier
-    # The dirty-procedure check, by contrast, re-checks the padding.
-    assert padded_by_procs >= by_procs + 80
+    # The full check, by contrast, re-checks the padding.
+    assert padded_full >= full + 80
