@@ -16,6 +16,8 @@ Run:  PYTHONPATH=src python benchmarks/ci_chaos_serve.py
 """
 
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,12 +34,16 @@ ATTEMPT_TIMEOUT_S = 60.0
 JOB_WAIT_S = 420.0
 
 
-def spawn(run_dir):
+def spawn(run_dir, daemons):
+    """Start a daemon in its own process group, recorded in ``daemons``
+    before anything can fail, and wait until it is ready."""
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
          "--workers", str(WORKERS), "--run-dir", run_dir,
          "--timeout", str(ATTEMPT_TIMEOUT_S), "--seed", str(SEED)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        start_new_session=True)
+    daemons.append(process)
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         if process.poll() is not None:
@@ -58,8 +64,24 @@ def spawn(run_dir):
 
 def main():
     scratch = tempfile.mkdtemp(prefix="icbe-ci-chaos-serve-")
-    run_dir = os.path.join(scratch, "run")
-    process, client = spawn(run_dir)
+    daemons = []
+    try:
+        drill(os.path.join(scratch, "run"), daemons)
+    finally:
+        # Every exit path: the daemons and their workers (each daemon
+        # leads its own process group), then the scratch directory.
+        for process in daemons:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=30)
+            process.stderr.close()
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def drill(run_dir, daemons):
+    process, client = spawn(run_dir, daemons)
 
     expectations = {}            # job id -> expected status
     for name in benchmark_names():
@@ -86,7 +108,7 @@ def main():
     process.kill()
     process.wait(timeout=30)
 
-    process, client = spawn(run_dir)
+    process, client = spawn(run_dir, daemons)
     recovered = client.stats()["jobs"]["recovered"]
     print(f"restarted: {recovered} interrupted job(s) recovered "
           f"from the journal")

@@ -183,24 +183,25 @@ def _parse_injections(specs) -> dict:
     return injections
 
 
+def _job_options(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.robustness.degrade.JobOptions` fields set by
+    the flags :func:`build_parser` gives both ``batch`` and ``serve``."""
+    return dict(timeout_s=args.timeout, memory_mb=args.memory_mb,
+                seed=args.seed, budget=args.budget,
+                duplication_limit=args.limit,
+                diff_check=not args.no_diff_check,
+                breaker_threshold=args.breaker)
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     """``icbe batch``: supervised, crash-isolated batch optimization."""
-    from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
-                                             SupervisorOptions)
+    from repro.robustness.supervisor import (BatchSupervisor,
+                                             SupervisorOptions, job_specs)
 
-    injections = _parse_injections(args.inject)
-    specs = []
-    for source in args.files:
-        spec = JobSpec(source)
-        if spec.name in injections:
-            spec.inject = injections[spec.name]
-        specs.append(spec)
+    specs = job_specs(args.files, _parse_injections(args.inject))
     run_dir = args.resume if args.resume else args.run_dir
-    options = SupervisorOptions(
-        jobs=args.jobs, timeout_s=args.timeout, memory_mb=args.memory_mb,
-        seed=args.seed, budget=args.budget, duplication_limit=args.limit,
-        diff_check=not args.no_diff_check,
-        backoff_base_s=args.backoff, breaker_threshold=args.breaker)
+    options = SupervisorOptions(jobs=args.jobs, backoff_base_s=args.backoff,
+                                **_job_options(args))
     supervisor = BatchSupervisor(specs, run_dir, options=options,
                                  resume=args.resume is not None)
     report = supervisor.run()
@@ -235,11 +236,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         heartbeat_timeout_s=args.heartbeat_timeout,
         queue_limit=args.queue_limit,
         rate_capacity=args.rate_burst, rate_refill_per_s=args.rate,
-        timeout_s=args.timeout, default_deadline_s=args.deadline,
-        drain_grace_s=args.drain_grace, seed=args.seed,
-        breaker_threshold=args.breaker, budget=args.budget,
-        duplication_limit=args.limit, diff_check=not args.no_diff_check,
-        memory_mb=args.memory_mb)
+        default_deadline_s=args.deadline, drain_grace_s=args.drain_grace,
+        **_job_options(args))
     return run_daemon(options)
 
 
@@ -285,6 +283,37 @@ def build_parser() -> argparse.ArgumentParser:
                        help="intraprocedural baseline analysis")
         p.add_argument("--budget", type=int, default=1000,
                        help="node-query-pair analysis budget")
+
+    def job_flags(p: argparse.ArgumentParser) -> None:
+        """The job knobs ``batch`` and ``serve`` share (read back by
+        :func:`_job_options`)."""
+        from repro.robustness.degrade import JobOptions
+        defaults = JobOptions()
+        p.add_argument("--seed", type=int, default=defaults.seed,
+                       help="the single seed every randomized component "
+                            "(backoff jitter, differential workloads, "
+                            "chaos points) derives from")
+        p.add_argument("--timeout", type=float, default=defaults.timeout_s,
+                       metavar="S",
+                       help="per-attempt wall clock; a longer attempt is "
+                            "killed and the job descends the ladder")
+        p.add_argument("--memory-mb", type=int, default=defaults.memory_mb,
+                       metavar="MB", help="per-worker address-space cap "
+                                          "(resource.setrlimit)")
+        p.add_argument("--budget", type=int, default=defaults.budget,
+                       help="node-query-pair analysis budget")
+        p.add_argument("--limit", type=int,
+                       default=defaults.duplication_limit,
+                       help="per-conditional duplication limit")
+        p.add_argument("--breaker", type=int,
+                       default=defaults.breaker_threshold, metavar="K",
+                       help="open a job class's circuit breaker after K "
+                            "consecutive hard worker deaths")
+        p.add_argument("--no-diff-check", action="store_true",
+                       help="skip the optimizer's differential checks "
+                            "(per transaction and at the end); each "
+                            "job's final program is still diffed "
+                            "against its input once")
 
     run_p = add_parser("run", help="execute a program")
     run_p.add_argument("file")
@@ -359,33 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="resume an interrupted run from DIR's "
                               "journal, skipping completed jobs")
     batch_p.add_argument("--run-dir", default="icbe-batch", metavar="DIR",
-                         help="directory for the journal, report, and "
-                              "worker scratch (default: ./icbe-batch)")
-    batch_p.add_argument("--seed", type=int, default=0,
-                         help="the single seed every randomized component "
-                              "(backoff jitter, differential workloads, "
-                              "chaos points) derives from")
-    batch_p.add_argument("--timeout", type=float, default=60.0, metavar="S",
-                         help="per-attempt wall-clock timeout; hung "
-                              "workers are killed")
-    batch_p.add_argument("--memory-mb", type=int, default=512, metavar="MB",
-                         help="per-worker address-space cap "
-                              "(resource.setrlimit)")
-    batch_p.add_argument("--budget", type=int, default=1000,
-                         help="node-query-pair analysis budget")
-    batch_p.add_argument("--limit", type=int, default=100,
-                         help="per-conditional duplication limit")
+                         help="directory for the journal and report "
+                              "(default: ./icbe-batch)")
+    job_flags(batch_p)
     batch_p.add_argument("--backoff", type=float, default=0.05, metavar="S",
                          help="base retry backoff (grows exponentially, "
                               "seeded jitter)")
-    batch_p.add_argument("--breaker", type=int, default=5, metavar="K",
-                         help="open a job class's circuit breaker after K "
-                              "consecutive hard worker deaths")
-    batch_p.add_argument("--no-diff-check", action="store_true",
-                         help="skip the optimizer's differential checks "
-                              "(per transaction and at the end); each "
-                              "job's final program is still diffed "
-                              "against its input once")
     batch_p.add_argument("--inject", action="append", metavar="SPEC",
                          help="chaos drill: hang|crash|oom:JOB[:TIERS] "
                               "(repeatable; deterministic given --seed)")
@@ -413,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sustained per-client submissions/second")
     serve_p.add_argument("--rate-burst", type=float, default=30.0,
                          metavar="B", help="per-client burst capacity")
-    serve_p.add_argument("--timeout", type=float, default=60.0, metavar="S",
-                         help="per-attempt wall clock; a longer attempt "
-                              "is killed and the job descends the ladder")
     serve_p.add_argument("--deadline", type=float, default=300.0,
                          metavar="S", help="default per-request deadline "
                          "(queue wait + all attempts)")
@@ -430,23 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--heartbeat-timeout", type=float, default=10.0,
                          metavar="S", help="kill + respawn a worker "
                          "silent for this long")
-    serve_p.add_argument("--seed", type=int, default=0,
-                         help="seed for backoff jitter and differential "
-                              "workloads")
-    serve_p.add_argument("--breaker", type=int, default=5, metavar="K",
-                         help="open a job class's circuit breaker after K "
-                              "consecutive hard worker deaths")
-    serve_p.add_argument("--memory-mb", type=int, default=512, metavar="MB",
-                         help="per-worker address-space cap")
-    serve_p.add_argument("--budget", type=int, default=1000,
-                         help="node-query-pair analysis budget")
-    serve_p.add_argument("--limit", type=int, default=100,
-                         help="per-conditional duplication limit")
-    serve_p.add_argument("--no-diff-check", action="store_true",
-                         help="skip the optimizer's differential checks "
-                              "(per transaction and at the end); each "
-                              "job's final program is still diffed "
-                              "against its input once")
+    job_flags(serve_p)
     serve_p.set_defaults(func=cmd_serve)
 
     exp_p = add_parser("experiment", help="run a paper experiment")

@@ -166,6 +166,24 @@ class Attempt:
 #: report).  Only a success resets a class's count.
 HARD_RESULTS = frozenset({"timeout", "killed", "oom", "crash", "no-result"})
 
+
+def death_verdict(exitcode: Optional[int], kill_reason: str = "",
+                  timeout_s: float = 0.0) -> Tuple[str, str]:
+    """The ``(result, detail)`` for :meth:`JobPolicy.fail` of an attempt
+    whose worker ended without a result frame: killed by its host for
+    ``kill_reason`` (``"timeout"``: it outlived ``timeout_s``), or dead
+    on its own with ``exitcode`` (negative: a signal).  Batch journals
+    the details, so their bytes must not change."""
+    if kill_reason == "timeout":
+        return "timeout", f"no result within {timeout_s:g}s; worker killed"
+    if kill_reason:
+        return "killed", f"worker killed ({kill_reason})"
+    if exitcode is not None and exitcode < 0:
+        return "killed", f"worker died on signal {-exitcode}"
+    if exitcode:
+        return "crash", f"worker exited with code {exitcode}"
+    return "no-result", "worker exited without a result"
+
 #: Structured error kinds no amount of degradation can fix: the input
 #: itself is invalid, so the ladder is skipped and the job fails fast.
 #: (``KeyError``/``LookupError``/``ValueError`` arrive from the load
@@ -259,6 +277,36 @@ class JobOutcome:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class JobOptions:
+    """The knobs every job of either host runs under: what an attempt
+    is given (:func:`~repro.robustness.worker.attempt_spec`) and how a
+    failed one is judged (:class:`JobPolicy`).  ``SupervisorOptions``
+    and ``ServeOptions`` inherit them."""
+
+    #: Per-attempt wall clock: a worker busy longer than this on one
+    #: attempt is SIGKILLed and the job descends the ladder.
+    timeout_s: float = 60.0
+    #: Per-worker address-space cap, in MiB (``resource.setrlimit``).
+    memory_mb: Optional[int] = 512
+    #: The single source of randomness: backoff jitter, differential
+    #: workloads and chaos points derive from it.
+    seed: int = 0
+    budget: int = 1000
+    duplication_limit: Optional[int] = 100
+    diff_check: bool = True
+    #: Per-conditional cooperative deadline inside the worker (None =
+    #: rely on the per-attempt timeout alone).
+    conditional_deadline_s: Optional[float] = None
+    backoff_base_s: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_jitter: float = 0.5        # +0..50% seeded jitter
+    backoff_max_s: float = 2.0
+    #: Open a job class's circuit breaker after K consecutive hard
+    #: worker deaths in that class.
+    breaker_threshold: int = 5
+
+
 class PolicyJob(Protocol):
     """The fields of a host's job record that :class:`JobPolicy` reads
     and writes."""
@@ -286,7 +334,8 @@ class JobPolicy:
     clock.
 
     A host hands every finished attempt to :meth:`settle` (the worker
-    reported a payload) or :meth:`fail` (the host saw the attempt die).
+    reported a payload) or :meth:`fail` (the host saw the attempt die;
+    :func:`death_verdict` says how).
     Both append the :class:`Attempt` to the job and return the job's
     definite :class:`JobOutcome` — or ``None`` after moving the job one
     tier down and setting ``job.pending_backoff_s``, which the host
@@ -296,9 +345,8 @@ class JobPolicy:
     success reach ``options.breaker_threshold``; from then on, any
     failed attempt in the class ends its job FAILED.
 
-    ``options`` is the host's option set (``SupervisorOptions`` or
-    ``ServeOptions``); the policy reads its seed, ``backoff_*`` fields
-    and ``breaker_threshold``.
+    ``options`` is the host's :class:`JobOptions`; the policy reads its
+    seed, ``backoff_*`` fields and ``breaker_threshold``.
     """
 
     def __init__(self, options) -> None:

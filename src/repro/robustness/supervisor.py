@@ -26,26 +26,26 @@ so does an interrupted run finished with ``--resume``.
 
 from __future__ import annotations
 
-import multiprocessing
+import json
 import os
+import select
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import json
-
 from repro import obs
 from repro.errors import SupervisorDrained, SupervisorError
 from repro.robustness import degrade
-from repro.robustness.degrade import (Attempt, JobOutcome, JobPolicy,
-                                      STATUS_DEGRADED, STATUS_FAILED,
-                                      STATUS_OK)
+from repro.robustness.degrade import (Attempt, JobOptions, JobOutcome,
+                                      JobPolicy, STATUS_DEGRADED,
+                                      STATUS_FAILED, STATUS_OK)
 from repro.robustness.guards import DeadlineGuard
 from repro.robustness.journal import Journal
-from repro.robustness.worker import (attempt_spec, parse_job_source,
-                                     run_attempt, worker_main)
+from repro.robustness.worker import (FrameReader, attempt_spec,
+                                     encode_frame, parse_job_source,
+                                     run_attempt, run_forked)
 from repro.utils import durafs
 
 REPORT_NAME = "report.txt"
@@ -114,25 +114,32 @@ class JobSpec:
                    strict=bool(data.get("strict", False)))
 
 
+def job_specs(sources: Sequence[str],
+              injections: Optional[Dict[str, dict]] = None) -> List[JobSpec]:
+    """One :class:`JobSpec` per source, with the chaos injections keyed
+    by job name.
+
+    Raises :class:`~repro.errors.SupervisorError` when an injection
+    names no job, so a drill never runs without its fault.
+    """
+    specs = [JobSpec(source) for source in sources]
+    names = [spec.name for spec in specs]
+    unknown = sorted(set(injections or ()) - set(names))
+    if unknown:
+        raise SupervisorError(
+            f"injection names no job: {', '.join(unknown)} "
+            f"(jobs: {', '.join(names) or 'none'})",
+            unknown=",".join(unknown), jobs=",".join(names))
+    for spec in specs:
+        spec.inject = (injections or {}).get(spec.name)
+    return specs
+
+
 @dataclass
-class SupervisorOptions:
-    """Batch-level knobs (per-tier optimizer knobs ride along)."""
+class SupervisorOptions(JobOptions):
+    """Batch-level knobs; the per-job ones are :class:`JobOptions`."""
 
     jobs: int = 1                      # parallel workers
-    timeout_s: float = 60.0            # per-attempt wall clock
-    memory_mb: Optional[int] = 512     # per-worker address-space cap
-    seed: int = 0                      # the single source of randomness
-    budget: int = 1000
-    duplication_limit: Optional[int] = 100
-    diff_check: bool = True
-    #: Per-conditional cooperative deadline inside the worker (None =
-    #: rely on the process-level timeout alone).
-    conditional_deadline_s: Optional[float] = None
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5        # +0..50% seeded jitter
-    backoff_max_s: float = 2.0
-    breaker_threshold: int = 5         # K consecutive hard failures
     #: "process" (real subprocess isolation) or "inprocess" (no
     #: isolation — fast path for property tests; hang injection and
     #: rlimits are unavailable there).
@@ -277,15 +284,51 @@ class _JobState:
 
 
 class _Running:
-    """One live worker subprocess."""
+    """One live worker process and the frames it has sent so far."""
 
-    def __init__(self, state: _JobState, process, result_path: str,
+    def __init__(self, state: _JobState, pid: int, pipe: int,
                  deadline: DeadlineGuard) -> None:
         self.state = state
-        self.process = process
-        self.result_path = result_path
+        self.pid = pid
+        #: Non-blocking read end of the worker's frame pipe.
+        self.pipe = pipe
         self.deadline = deadline
-        self.killed_on_timeout = False
+        self.frames = FrameReader()
+        self.eof = False
+        #: The payload of its ``result`` frame, once that is complete.
+        self.payload: Optional[dict] = None
+        #: Why the supervisor killed it ("" = it ended on its own).
+        self.kill_reason = ""
+        self.exitcode: Optional[int] = None
+
+    def read(self) -> None:
+        """Take in every byte the worker has written so far."""
+        while not self.eof:
+            try:
+                data = os.read(self.pipe, 1 << 16)
+            except BlockingIOError:
+                return
+            self.eof = not data
+            for frame in self.frames.feed(data):
+                if frame.get("type") == "result":
+                    self.payload = frame.get("payload") or {}
+
+    def exited(self) -> bool:
+        """Reap the worker if it has exited; True once it has."""
+        if self.exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode is not None
+
+    def kill(self, reason: str = "") -> None:
+        """SIGKILL and reap the worker (a no-op once it was reaped)."""
+        if self.exitcode is not None:
+            return
+        self.kill_reason = reason
+        os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        self.exitcode = os.waitstatus_to_exitcode(status)
 
 
 class BatchSupervisor:
@@ -457,72 +500,76 @@ class BatchSupervisor:
                 pending.append(state)
 
     def _run_processes(self, todo: List[_JobState]) -> None:
-        context = self._mp_context()
-        tmp_dir = os.path.join(self.run_dir, "tmp")
-        os.makedirs(tmp_dir, exist_ok=True)
         ready: List[_JobState] = list(todo)
         waiting: List[_JobState] = []
         running: List[_Running] = []
-        while ready or waiting or running:
-            if self._drain_signum:
-                # Drain: in-flight attempts are abandoned (killed and
-                # reaped, nothing journaled for them — ``--resume``
-                # replays the whole job, keeping the journal identical
-                # to an uninterrupted run) and queued jobs stay pending.
-                for worker in running:
-                    worker.process.kill()
-                    worker.process.join(10.0)
-                obs.add("batch.drained.killed", len(running))
-                return
-            now = time.monotonic()
-            still_waiting = []
-            for state in waiting:
-                (ready if state.eligible_at <= now
-                 else still_waiting).append(state)
-            waiting = still_waiting
-            ready.sort(key=lambda s: s.index)
-            while ready and len(running) < max(1, self.options.jobs):
-                running.append(self._launch(context, tmp_dir, ready.pop(0)))
-            for worker in list(running):
-                if worker.process.is_alive():
-                    if worker.deadline.expired():
-                        worker.killed_on_timeout = True
-                        worker.process.kill()
-                        worker.process.join(10.0)
-                    else:
-                        continue
-                running.remove(worker)
-                state = worker.state
-                self._collect(worker)
-                if state.done:
-                    self._flush_journal()
-                else:
-                    waiting.append(state)
-            if running or waiting:
-                time.sleep(0.005)
-        # Reap everything (defensive; all workers were joined above).
-        for worker in running:
-            worker.process.join(0.1)
-
-    @staticmethod
-    def _mp_context():
         try:
-            return multiprocessing.get_context("fork")
-        except ValueError:       # platforms without fork
-            return multiprocessing.get_context()
+            while ready or waiting or running:
+                if self._drain_signum:
+                    # Drain: in-flight attempts are abandoned (killed
+                    # and reaped, nothing journaled for them —
+                    # ``--resume`` replays the whole job, keeping the
+                    # journal identical to an uninterrupted run) and
+                    # queued jobs stay pending.
+                    obs.add("batch.drained.killed", len(running))
+                    return
+                now = time.monotonic()
+                still_waiting = []
+                for state in waiting:
+                    (ready if state.eligible_at <= now
+                     else still_waiting).append(state)
+                waiting = still_waiting
+                ready.sort(key=lambda s: s.index)
+                while ready and len(running) < max(1, self.options.jobs):
+                    running.append(self._launch(ready.pop(0)))
+                # Read while waiting, so a result frame larger than the
+                # pipe buffer never blocks its worker; the 5 ms bound
+                # keeps timeouts, backoffs and drains prompt.
+                pipes = [worker.pipe for worker in running
+                         if not worker.eof]
+                if pipes:
+                    select.select(pipes, [], [], 0.005)
+                else:
+                    time.sleep(0.005)
+                for worker in list(running):
+                    exited = worker.exited()
+                    worker.read()    # after the exit check: nothing lost
+                    if worker.payload is None and not exited:
+                        if not worker.deadline.expired():
+                            continue
+                        worker.kill("timeout")
+                    running.remove(worker)
+                    self._collect(worker)
+                    if worker.state.done:
+                        self._flush_journal()
+                    else:
+                        waiting.append(worker.state)
+        finally:
+            for worker in running:
+                worker.kill("drain")
+                os.close(worker.pipe)
 
-    def _launch(self, context, tmp_dir: str, state: _JobState) -> _Running:
-        attempt_index = len(state.attempts)
-        result_path = os.path.join(
-            tmp_dir, f"attempt-{state.index}-{attempt_index}.json")
-        if os.path.exists(result_path):
-            os.remove(result_path)
-        process = context.Process(
-            target=worker_main,
-            args=(self._attempt_spec(state), result_path), daemon=True)
-        process.start()
-        deadline = DeadlineGuard(self.options.timeout_s).start()
-        return _Running(state, process, result_path, deadline)
+    def _launch(self, state: _JobState) -> _Running:
+        """Fork one attempt's worker; it reads its one ``job`` frame from
+        one pipe and answers on another."""
+        frame = encode_frame({"type": "job", "id": state.index,
+                              "spec": self._attempt_spec(state)})
+        down, job_end = os.pipe()
+        # Far below the pipe buffer, so this never waits for a reader;
+        # closed before the fork, so the frame is followed by the end of
+        # the pipe and no other worker ever holds its write end.
+        os.write(job_end, frame)
+        os.close(job_end)
+        up, frame_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(up)
+            run_forked(down, frame_end, self.options.memory_mb)
+        os.close(down)
+        os.close(frame_end)
+        os.set_blocking(up, False)
+        return _Running(state, pid, up,
+                        DeadlineGuard(self.options.timeout_s).start())
 
     def _attempt_spec(self, state: _JobState) -> dict:
         spec = state.spec
@@ -533,44 +580,23 @@ class BatchSupervisor:
     # -- attempt classification -------------------------------------------
 
     def _collect(self, worker: _Running) -> None:
-        """Turn one finished/killed worker into an attempt verdict."""
-        worker.process.join(0.1)
+        """Turn one finished or killed worker into an attempt verdict."""
+        os.close(worker.pipe)
         elapsed_s = worker.deadline.elapsed()
-        payload = self._read_result(worker.result_path)
-        if payload is not None:
-            self._classify_structured(worker.state, payload,
+        state = worker.state
+        if worker.payload is not None:
+            worker.kill()    # its result is in: nothing left to wait for
+            self._classify_structured(state, worker.payload,
                                       supervisor_wall_s=elapsed_s)
             return
-        exitcode = worker.process.exitcode
-        if worker.killed_on_timeout:
-            result, detail = "timeout", (
-                f"no result within {self.options.timeout_s:g}s; "
-                f"worker killed")
-        elif exitcode is not None and exitcode < 0:
-            result, detail = "killed", f"worker died on signal {-exitcode}"
-        elif exitcode:
-            result, detail = "crash", f"worker exited with code {exitcode}"
-        else:
-            result, detail = "no-result", "worker exited without a result"
-        state = worker.state
+        result, detail = degrade.death_verdict(
+            worker.exitcode, worker.kill_reason, self.options.timeout_s)
         before = len(state.attempts)
         self._conclude(state, self.policy.fail(state, result, detail))
         # A hard death leaves no worker-side telemetry; the supervisor's
         # own wall clock for the attempt is the best available account.
         self._note_attempt(state, before, wall_s=elapsed_s, peak_rss_kb=0,
                            span_wall_s=elapsed_s)
-
-    @staticmethod
-    def _read_result(result_path: str) -> Optional[dict]:
-        import json
-        if not os.path.exists(result_path):
-            return None
-        try:
-            with open(result_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (ValueError, OSError):
-            return None          # torn result == no result (atomic rename
-                                 # makes this unreachable in practice)
 
     def _classify_structured(self, state: _JobState, payload: dict,
                              supervisor_wall_s: Optional[float] = None,
@@ -677,12 +703,6 @@ def run_batch(sources: Sequence[str], run_dir: str,
               injections: Optional[Dict[str, dict]] = None,
               ) -> BatchReport:
     """Convenience wrapper: build specs (with optional chaos injections
-    keyed by job name) and run the supervisor."""
-    specs = []
-    for source in sources:
-        spec = JobSpec(source)
-        if injections and spec.name in injections:
-            spec.inject = injections[spec.name]
-        specs.append(spec)
-    return BatchSupervisor(specs, run_dir, options=options,
-                           resume=resume).run()
+    keyed by job name, see :func:`job_specs`) and run the supervisor."""
+    return BatchSupervisor(job_specs(sources, injections), run_dir,
+                           options=options, resume=resume).run()

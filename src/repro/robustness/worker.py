@@ -1,43 +1,46 @@
-"""The batch supervisor's isolated worker (child-process side).
+"""The attempt worker of ``icbe batch`` and ``icbe serve``.
 
-One worker process = one attempt of one job at one ladder tier.  The
-worker is designed to die well: it caps its own address space with
-``resource.setrlimit`` *before* touching the input, arms a SIGALRM
-backstop so an orphaned hang self-terminates even if the supervisor was
-SIGKILLed, and reports through an **atomically renamed** JSON result
-file — so the supervisor either sees a complete structured result or no
-result at all, never a torn one.
+Every attempt runs in a worker process running :func:`serve_jobs`, one
+loop over newline-delimited JSON frames: ``job`` (an attempt spec for
+:func:`run_attempt`) and ``shutdown`` down, ``ready``, ``heartbeat``
+(peak RSS, from a daemon thread) and ``result`` (the payload) up.  A
+frame counts only once its newline has arrived (:class:`FrameReader`),
+so a worker killed mid-frame reports nothing, and its host judges the
+death (:func:`~repro.robustness.degrade.death_verdict`).
 
-Result protocol (every field the supervisor may journal is
-deterministic — no timings, no pids; the ``telemetry``/``spans``/
-``metrics`` side-channel fields are the explicit exception and are
-stripped by the supervisor before journaling):
+The hosts differ only in how long a worker lives.  Batch forks its
+already-imported supervisor once per attempt (:func:`run_forked`): a
+fork pays no interpreter start-up, and every attempt starts from the
+same state, so neither its ``RLIMIT_AS`` headroom nor its peak-RSS
+telemetry depends on the attempts before it.  Serve keeps resident
+workers (:func:`main`): a fresh interpreter's start-up and imports
+cost about twice a small job's latency, and forking the daemon would
+fork a process whose executor threads are running.
 
-- success: ``{"ok": true, "tier": i, "verify_ok": true, "diff_ok":
-  true, "counts": {...}}``
-- structured failure: ``{"ok": false, "error": "<ExceptionType>",
-  "message": "...", "context": {...}}`` — the worker survived and
-  explained itself (a :class:`~repro.errors.ReproError`, a
-  ``MemoryError`` under the rlimit, a failed validation);
-- no result file / nonzero exit — the worker died hard (crash, OOM
-  kill, or the supervisor's SIGKILL on timeout); the supervisor
-  classifies these from the exit status.
-
-Chaos injection (``spec["inject"]``) deliberately produces the three
-pathologies the supervisor must survive — ``hang`` (ignores cooperative
-checkpoints), ``crash`` (hard ``os._exit``), ``oom`` (allocates until
-the rlimit bites) — gated on the attempt's tier so the degradation
-ladder genuinely recovers the job one tier down.
+The worker is designed to die well: it caps its address space before
+any job runs (an OOM becomes a structured ``MemoryError`` failure),
+and a SIGALRM backstop around each job, result frame included, kills
+it long after its host should have, so a hang cannot outlive a
+SIGKILLed host.  Payloads are ``{"ok": true, "tier": i, "counts":
+{...}, ...}`` or a structured failure ``{"ok": false, "error": ...,
+"message": ..., "context": {...}, "kind": ...}``; every field but the
+``telemetry``/``spans``/``metrics`` side channels, which hosts strip
+before journaling, is deterministic.  Chaos injection
+(``spec["inject"]``: ``hang``, ``crash``, ``oom``) is gated on the
+attempt's tier, so the ladder recovers the job one tier down.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import sys
+import threading
 import time
+import traceback
 import zlib
-from typing import Optional, Sequence, Tuple
+from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ReproError, error_context
@@ -48,18 +51,14 @@ from repro.lang import parse_program
 from repro.robustness import degrade
 from repro.robustness.diffcheck import differential_check, seeded_workloads
 from repro.robustness.faults import FaultPlan, FaultSpec
-from repro.utils import durafs
 
-#: Exit codes the chaos faults use (recognizable in supervisor logs).
+#: Exit codes the chaos faults use (recognizable in host logs).
 EXIT_CRASH = 134          # simulated abort()
 EXIT_ORPHAN_BACKSTOP = 124
 
-#: durafs fault site of the worker's result publication.
-SITE_RESULT = "batch.result"
-
-#: How far past the supervisor's own kill deadline the worker's SIGALRM
+#: How far past the host's own kill deadline the worker's SIGALRM
 #: backstop waits before self-terminating (it only ever fires when the
-#: supervisor itself was killed and can no longer clean us up).
+#: host itself was killed and can no longer clean us up).
 ORPHAN_GRACE_FACTOR = 3.0
 
 
@@ -117,22 +116,25 @@ def _apply_rlimits(memory_mb: Optional[int]) -> None:
             ceiling = hard if hard != resource.RLIM_INFINITY else limit
             resource.setrlimit(kind, (min(limit, ceiling), hard))
         except (ValueError, OSError):
-            pass                 # container forbids it: supervisor kill
+            pass                 # container forbids it: the host's kill
                                  # on timeout remains the backstop
 
 
-def _arm_orphan_backstop(timeout_s: Optional[float]) -> None:
-    """Self-destruct long after the supervisor would have killed us.
+def _backstop(timeout_s: Optional[float]) -> None:
+    """Arm (or, with no timeout, disarm) a self-destruct long after the
+    host would have killed us.
 
-    The supervisor SIGKILLs hung workers at ``timeout_s``; this alarm
-    only matters when the *supervisor* died first (e.g. the chaos drill
-    SIGKILLs it), so an injected hang cannot leak a spinning orphan.
+    The host SIGKILLs a worker whose attempt outlives ``timeout_s``;
+    this alarm only matters when the *host* died first (e.g. the chaos
+    drill SIGKILLs it), so an injected hang cannot leak a spinning
+    orphan.
     """
-    if timeout_s is None or not hasattr(signal, "SIGALRM"):
+    if not hasattr(signal, "SIGALRM"):
         return
     signal.signal(signal.SIGALRM,
                   lambda signum, frame: os._exit(EXIT_ORPHAN_BACKSTOP))
-    signal.alarm(max(1, int(timeout_s * ORPHAN_GRACE_FACTOR) + 5))
+    signal.alarm(max(1, int(timeout_s * ORPHAN_GRACE_FACTOR) + 5)
+                 if timeout_s else 0)
 
 
 def _run_injection(inject: Optional[dict], tier_index: int,
@@ -155,17 +157,6 @@ def _run_injection(inject: Optional[dict], tier_index: int,
         raise MemoryError(f"injected allocation reached {ceiling_mb}MB "
                           f"without tripping the rlimit")
     raise ValueError(f"unknown chaos injection kind {kind!r}")
-
-
-def _write_result(result_path: str, payload: dict) -> None:
-    """Atomic, fsynced result publication (write temp, rename).
-
-    ``must=True``: an unpublishable result is a hard worker death (the
-    OSError escapes and the process exits nonzero), which the
-    supervisor already classifies correctly — never a torn file.
-    """
-    durafs.atomic_write_json(result_path, payload, site=SITE_RESULT,
-                             must=True)
 
 
 def _fault_plan(spec: dict) -> Optional[FaultPlan]:
@@ -225,21 +216,21 @@ def run_attempt(spec: dict) -> dict:
     """Execute one (job, tier) attempt; returns the result payload.
 
     Never raises for job-level problems: every failure is folded into a
-    structured ``ok: false`` payload (the supervisor decides what it
-    means for the ladder).
+    structured ``ok: false`` payload (the host's job policy decides
+    what it means for the ladder).
 
     On top of the deterministic result fields the payload carries a
     ``telemetry`` dict (attempt wall seconds, the worker process's peak
     RSS in KiB) and — when ``spec["trace"]`` asks for it — ``spans``
     and ``metrics`` from the worker's own observability session.  The
-    supervisor strips all three before anything reaches the journal,
+    host strips all three before anything reaches the journal,
     which is what keeps journal bytes deterministic.
     """
     started = time.monotonic()
     if spec.get("trace") and not obs.enabled():
         # Subprocess case: trace into a private session and serialize
-        # it for the supervisor to adopt.  (In-process attempts find
-        # the supervisor's session already active and just inherit it —
+        # it for the host to adopt.  (In-process attempts find the
+        # supervisor's session already active and just inherit it —
         # their spans parent naturally, so nothing is exported.)
         with obs.session() as active:
             with obs.span("worker.attempt", job=spec.get("job", ""),
@@ -344,15 +335,108 @@ def _load_failure(source: str, failure: BaseException) -> dict:
             "context": context, "kind": "load-error"}
 
 
-def worker_main(spec: dict, result_path: str) -> None:
-    """Child-process entry: cap resources, run, publish, exit 0.
+# ---------------------------------------------------------------------------
+# The pipe protocol and the worker loop.
+# ---------------------------------------------------------------------------
 
-    Anything that escapes (a true crash) leaves no result file, which
-    the supervisor reads as a hard failure.
+
+def encode_frame(record: dict) -> bytes:
+    """One protocol frame: a line of JSON."""
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
+class FrameReader:
+    """Cuts a byte stream into frames.
+
+    A frame counts only once its newline has arrived: a partial tail is
+    held until the rest comes, and a stream that ends mid-frame (the
+    worker was killed while writing) yields nothing for it.  A complete
+    line that is not JSON raises :class:`ValueError`.
     """
-    obs.reset()          # a forked child must not append to the
-                         # supervisor's observability session
-    _apply_rlimits(spec.get("memory_mb"))
-    _arm_orphan_backstop(spec.get("timeout_s"))
-    payload = run_attempt(spec)
-    _write_result(result_path, payload)
+
+    def __init__(self) -> None:
+        self._tail = b""
+
+    def feed(self, data: bytes) -> List[dict]:
+        """The frames completed by ``data``, in order."""
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        return [json.loads(line) for line in lines if line.strip()]
+
+
+class _Channel:
+    """Locked frame writes, shared by the loop and the heartbeat thread."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self._handle = handle
+        self._lock = threading.Lock()
+
+    def send(self, record: dict) -> None:
+        data = encode_frame(record)
+        with self._lock:
+            self._handle.write(data)
+            self._handle.flush()
+
+
+def serve_jobs(down: BinaryIO, up: BinaryIO, memory_mb: Optional[int],
+               heartbeat_interval_s: float = 0.5) -> None:
+    """The worker loop: answer each ``job`` frame read from ``down``
+    with a ``result`` frame on ``up``, until ``shutdown`` or the end of
+    ``down``.  The heartbeat thread starts before the memory cap
+    applies, so the cap cannot cost the worker its thread stack."""
+    obs.reset()                  # never inherit the host's session
+    channel = _Channel(up)
+    stop = threading.Event()
+
+    def heartbeats() -> None:
+        while not stop.wait(heartbeat_interval_s):
+            try:
+                channel.send({"type": "heartbeat", "rss_kb": _peak_rss_kb()})
+            except (OSError, ValueError):
+                return           # the host is gone; the loop will see it
+
+    threading.Thread(target=heartbeats, daemon=True).start()
+    _apply_rlimits(memory_mb)
+    channel.send({"type": "ready", "pid": os.getpid()})
+    try:
+        for line in down:
+            message = json.loads(line)
+            if message["type"] == "shutdown":
+                break
+            _backstop(message["spec"].get("timeout_s"))
+            try:
+                channel.send({"type": "result", "id": message.get("id"),
+                              "payload": run_attempt(message["spec"])})
+            finally:
+                _backstop(None)
+    finally:
+        stop.set()
+
+
+def run_forked(down_fd: int, up_fd: int, memory_mb: Optional[int]) -> None:
+    """A batch attempt's child, right after ``os.fork``: the loop on two
+    pipe ends, then exit, never returning into the supervisor's code
+    (status 1, traceback on stderr, if the loop raised)."""
+    code = 1
+    try:
+        with open(down_fd, "rb") as down, open(up_fd, "wb") as up:
+            serve_jobs(down, up, memory_mb)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def main() -> None:
+    """A daemon's resident worker: the loop on stdin and stdout, with
+    the JSON config (``memory_mb``, ``heartbeat_interval_s``) in
+    ``sys.argv[1]``.  Fd 1 then points at stderr, so a stray ``print``
+    cannot corrupt the framing.  :mod:`repro.serve.pool` runs it with
+    ``python -c``: run as ``-m``, this module would execute a second
+    time as ``__main__``, beside the copy that tools wrapping
+    :func:`run_attempt` at import see."""
+    config = json.loads(sys.argv[1])
+    up = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    serve_jobs(sys.stdin.buffer, up, config.get("memory_mb"),
+               float(config["heartbeat_interval_s"]))

@@ -16,10 +16,10 @@ The layers, outermost first:
   the write-ahead journal, and graceful drain;
 - :mod:`~repro.serve.pool` — a resident pool of K worker subprocesses
   reused across jobs (amortizing interpreter + import warmup), with
-  heartbeat health checks and automatic recycling;
-- :mod:`~repro.serve.workerproc` — the worker child process: a loop
-  over newline-delimited JSON job requests, executing each via the
-  batch worker's :func:`~repro.robustness.worker.run_attempt`.
+  heartbeat health checks and automatic recycling.  Each runs
+  :mod:`~repro.robustness.worker`, the worker ``icbe batch`` forks per
+  attempt: one loop over newline-delimited JSON frames, executing each
+  job with :func:`~repro.robustness.worker.run_attempt`.
 
 Robustness invariants the tests and chaos drills enforce:
 

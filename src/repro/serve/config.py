@@ -2,9 +2,9 @@
 
 One dataclass, :class:`ServeOptions`, carries every knob: the listen
 address, the worker pool geometry and recycling thresholds, admission
-limits (queue bound, per-client token buckets), per-attempt and
-per-request time budgets, and the optimizer options every job runs
-under.
+limits (queue bound, per-client token buckets) and per-request time
+budgets, on top of the :class:`~repro.robustness.degrade.JobOptions`
+every job runs under, which ``icbe batch`` shares.
 
 The optimizer-shaping subset is exposed as :meth:`ServeOptions.
 fingerprint`; it is folded into the content-addressed result-cache key
@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.robustness.degrade import JobOptions
+
 
 @dataclass
-class ServeOptions:
+class ServeOptions(JobOptions):
     """Every knob of one ``icbe serve`` daemon."""
 
     # -- listen address ----------------------------------------------------
@@ -60,9 +62,6 @@ class ServeOptions:
     max_body_bytes: int = 2 * 1024 * 1024
 
     # -- time budgets ------------------------------------------------------
-    #: Per-attempt wall clock: a worker busy longer than this on one
-    #: attempt is SIGKILLed and the job descends the ladder.
-    timeout_s: float = 60.0
     #: Per-request deadline when the submission names none; the whole
     #: job (queue wait + every attempt) must finish inside it.
     default_deadline_s: float = 300.0
@@ -72,24 +71,6 @@ class ServeOptions:
     #: after SIGTERM/SIGINT before their workers are killed and the
     #: jobs are left checkpointed in the journal.
     drain_grace_s: float = 10.0
-
-    # -- retry / breaker ---------------------------------------------------
-    seed: int = 0
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5
-    backoff_max_s: float = 2.0
-    #: Open a job class's circuit breaker after K consecutive hard
-    #: worker deaths in that class.
-    breaker_threshold: int = 5
-
-    # -- per-job optimizer options (fixed per daemon) ----------------------
-    budget: int = 1000
-    duplication_limit: Optional[int] = 100
-    diff_check: bool = True
-    memory_mb: Optional[int] = 512
-    #: Per-conditional cooperative deadline inside the worker.
-    conditional_deadline_s: Optional[float] = None
 
     def fingerprint(self) -> dict:
         """The result-shaping option subset.

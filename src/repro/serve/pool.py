@@ -1,11 +1,11 @@
 """The resident worker pool (parent side): spawn, talk, watch, kill.
 
 This module is deliberately mechanical — it owns subprocess lifecycles
-and the newline-delimited JSON protocol of
-:mod:`~repro.serve.workerproc`, and reports everything that happens to
-callbacks.  *Policy* (which job runs where, when a worker is killed
-for a timeout, when it is recycled for age or RSS, how a death maps
-onto the degradation ladder) lives in
+and the host side of the frame protocol of
+:mod:`~repro.robustness.worker`, the worker ``icbe batch`` runs too,
+and reports everything that happens to callbacks.  *Policy* (which job
+runs where, when a worker is killed for a timeout, when it is recycled
+for age or RSS, how a death maps onto the degradation ladder) lives in
 :mod:`~repro.serve.service`.
 
 One :class:`WorkerHandle` per live subprocess, with one asyncio reader
@@ -28,8 +28,13 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
+from repro.robustness.worker import FrameReader, encode_frame
 from repro.serve.config import ServeOptions
 from repro.serve.models import JobRecord
+
+#: Starts a resident worker, importing its module under its own name
+#: (see :func:`repro.robustness.worker.main`).
+_WORKER_COMMAND = "from repro.robustness.worker import main; main()"
 
 W_STARTING = "starting"
 W_IDLE = "idle"
@@ -104,8 +109,7 @@ class WorkerPool:
     async def _spawn(self) -> WorkerHandle:
         self._spawned += 1
         wid = f"w{self._spawned}"
-        config = {"worker": wid,
-                  "memory_mb": self.options.memory_mb,
+        config = {"memory_mb": self.options.memory_mb,
                   "heartbeat_interval_s": self.options.heartbeat_interval_s}
         env = dict(os.environ)
         package_root = os.path.dirname(
@@ -115,8 +119,7 @@ class WorkerPool:
             env["PYTHONPATH"] = (package_root + os.pathsep + existing
                                  if existing else package_root)
         process = await asyncio.create_subprocess_exec(
-            sys.executable, "-m", "repro.serve.workerproc",
-            json.dumps(config),
+            sys.executable, "-c", _WORKER_COMMAND, json.dumps(config),
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE,
             env=env)
@@ -126,6 +129,10 @@ class WorkerPool:
                                             name=f"pool-read-{wid}")
         self.workers.append(worker)
         obs.add("serve.worker.spawned")
+        if self._closed:
+            # stop() ran while this worker was starting and never saw
+            # it; left alive, it would wait on stdin forever.
+            self.kill(worker, "drain")
         return worker
 
     # -- protocol ----------------------------------------------------------
@@ -138,10 +145,9 @@ class WorkerPool:
         worker.job = job
         worker.attempt_deadline = (asyncio.get_running_loop().time()
                                    + self.options.timeout_s)
-        line = json.dumps({"type": "job", "id": job.id, "spec": spec},
-                         sort_keys=True) + "\n"
+        frame = encode_frame({"type": "job", "id": job.id, "spec": spec})
         try:
-            worker.process.stdin.write(line.encode("utf-8"))
+            worker.process.stdin.write(frame)
             await worker.process.stdin.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             # The worker died between dispatch decision and write; the
@@ -153,7 +159,7 @@ class WorkerPool:
         worker.state = W_STOPPING
         worker.kill_reason = reason
         try:
-            worker.process.stdin.write(b'{"type": "shutdown"}\n')
+            worker.process.stdin.write(encode_frame({"type": "shutdown"}))
         except (ConnectionResetError, BrokenPipeError, OSError, ValueError):
             self.kill(worker, reason)
 
@@ -170,33 +176,19 @@ class WorkerPool:
 
     async def _read_loop(self, worker: WorkerHandle) -> None:
         loop = asyncio.get_running_loop()
+        frames = FrameReader()
         try:
             while True:
-                line = await worker.process.stdout.readline()
-                if not line:
+                data = await worker.process.stdout.read(1 << 16)
+                if not data:
                     break
                 try:
-                    message = json.loads(line)
+                    messages = frames.feed(data)
                 except ValueError:
                     self.kill(worker, "garbled-protocol")
                     break
-                kind = message.get("type")
-                worker.last_heartbeat = loop.time()
-                if kind == "ready":
-                    if worker.state == W_STARTING:
-                        worker.state = W_IDLE
-                        self.on_idle(worker)
-                elif kind == "heartbeat":
-                    worker.peak_rss_kb = max(worker.peak_rss_kb,
-                                             int(message.get("rss_kb", 0)))
-                elif kind == "result":
-                    job, worker.job = worker.job, None
-                    worker.jobs_served += 1
-                    if worker.state == W_BUSY:
-                        worker.state = W_IDLE
-                    self.on_result(worker, job, message.get("payload") or {})
-                    if worker.state == W_IDLE:
-                        self.on_idle(worker)
+                for message in messages:
+                    self._on_frame(worker, message, loop.time())
         finally:
             job, worker.job = worker.job, None
             was = worker.state
@@ -208,6 +200,26 @@ class WorkerPool:
             obs.add("serve.worker.exited")
             if was != W_DEAD:
                 self.on_exit(worker, job, worker.kill_reason)
+
+    def _on_frame(self, worker: WorkerHandle, message: dict,
+                  now: float) -> None:
+        kind = message.get("type")
+        worker.last_heartbeat = now
+        if kind == "ready":
+            if worker.state == W_STARTING:
+                worker.state = W_IDLE
+                self.on_idle(worker)
+        elif kind == "heartbeat":
+            worker.peak_rss_kb = max(worker.peak_rss_kb,
+                                     int(message.get("rss_kb", 0)))
+        elif kind == "result":
+            job, worker.job = worker.job, None
+            worker.jobs_served += 1
+            if worker.state == W_BUSY:
+                worker.state = W_IDLE
+            self.on_result(worker, job, message.get("payload") or {})
+            if worker.state == W_IDLE:
+                self.on_idle(worker)
 
     # -- teardown ----------------------------------------------------------
 

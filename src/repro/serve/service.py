@@ -26,7 +26,9 @@ The lifecycle of one submission::
       deadline hit  -> FAILED (queued: dequeued; running: worker killed)
 
 Failure semantics are the batch supervisor's
-(:mod:`repro.robustness.supervisor`), because both run the same
+(:mod:`repro.robustness.supervisor`), because both run the same worker
+(:mod:`repro.robustness.worker`), judge a dead one with the same
+:func:`~repro.robustness.degrade.death_verdict` and run the same
 :class:`~repro.robustness.degrade.JobPolicy`: the same ladder, the same
 per-class breaker, the same seeded jittered backoff — so a program
 that degrades to tier 2 under ``icbe batch`` degrades to tier 2 under
@@ -302,21 +304,8 @@ class OptimizationService:
     def _on_worker_exit(self, worker: WorkerHandle,
                         job: Optional[JobRecord], reason: str) -> None:
         if job is not None and not job.terminal:
-            if reason == "timeout":
-                result = "timeout"
-                detail = (f"no result within {self.options.timeout_s:g}s; "
-                          f"worker {worker.wid} killed")
-            elif reason in ("heartbeat", "garbled-protocol"):
-                result = "killed"
-                detail = f"worker {worker.wid} killed ({reason})"
-            else:
-                code = worker.process.returncode
-                if code is not None and code < 0:
-                    result, detail = "killed", (f"worker {worker.wid} died "
-                                                f"on signal {-code}")
-                else:
-                    result, detail = "crash", (f"worker {worker.wid} exited "
-                                               f"with code {code}")
+            result, detail = degrade.death_verdict(
+                worker.process.returncode, reason, self.options.timeout_s)
             self._conclude(job, self.policy.fail(job, result, detail))
         if not self.draining:
             asyncio.get_event_loop().create_task(self._replenish())

@@ -263,6 +263,26 @@ def test_crash_is_contained_and_job_degrades_one_tier(
     assert "134" in outcome.attempts[0].detail
 
 
+def test_oom_is_contained_and_job_degrades_one_tier(program_file, tmp_path):
+    # The forked worker inherits this process's address space, so the
+    # cap gives it a fixed headroom above that: the injected allocation
+    # hits the cap at tier 0, and tier 1 runs the program within it.
+    with open("/proc/self/status", encoding="utf-8") as status:
+        vsz_kb = next(int(line.split()[1]) for line in status
+                      if line.startswith("VmSize:"))
+    spec = JobSpec(program_file, inject={"kind": "oom", "tiers": [0]})
+    report = BatchSupervisor(
+        [spec], str(tmp_path / "run"),
+        options=SupervisorOptions(memory_mb=vsz_kb // 1024 + 128,
+                                  timeout_s=30.0, backoff_base_s=0.0,
+                                  seed=1)).run()
+    outcome = report.outcomes[0]
+    assert outcome.status == STATUS_DEGRADED
+    assert outcome.tier == 1
+    assert outcome.attempts[0].result == "oom"
+    assert "memory cap" in outcome.attempts[0].detail
+
+
 def test_circuit_breaker_stops_a_failing_class(tmp_path):
     # Two jobs of one class, both crashing at every tier: after the
     # threshold of consecutive hard failures the class is cut off and

@@ -185,6 +185,17 @@ def test_batch_bad_inject_spec_exits_2(program_file, tmp_path, capsys):
     assert "icbe: error:" in capsys.readouterr().err
 
 
+def test_batch_inject_naming_no_job_exits_2(program_file, tmp_path, capsys):
+    # The job is named prog.mc: a drill aimed at "prog" would run
+    # without its fault.
+    run_dir = tmp_path / "run"
+    assert main(["batch", program_file, "--run-dir", str(run_dir),
+                 "--inject", "crash:prog"]) == 2
+    err = capsys.readouterr().err
+    assert "icbe: error: injection names no job: prog (jobs: prog.mc)" in err
+    assert not run_dir.exists()
+
+
 def test_batch_resume_without_journal_exits_2(tmp_path, capsys):
     assert main(["batch", "--resume", str(tmp_path / "nothing")]) == 2
     err = capsys.readouterr().err
