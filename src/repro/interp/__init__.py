@@ -7,8 +7,10 @@ splitting run unchanged: a procedure returns to whichever call-site exit
 its caller registered for the exit node that was reached.
 """
 
-from repro.interp.machine import ExecutionResult, Machine, run_icfg
+from repro.interp.machine import (DecodedICFG, ExecutionResult, Machine,
+                                  run_icfg)
 from repro.interp.profile import Profile
 from repro.interp.workload import Workload
 
-__all__ = ["ExecutionResult", "Machine", "Profile", "Workload", "run_icfg"]
+__all__ = ["DecodedICFG", "ExecutionResult", "Machine", "Profile", "Workload",
+           "run_icfg"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.ir.icfg import ICFG
-from repro.ir.nodes import BranchNode, Node
+from repro.ir.nodes import BranchNode
 
 
 @dataclass
@@ -25,16 +25,6 @@ class Profile:
     branch_false: Dict[int, int] = field(default_factory=dict)
     executed_operations: int = 0
     executed_conditionals: int = 0
-
-    def count_node(self, node: Node) -> None:
-        self.node_counts[node.id] = self.node_counts.get(node.id, 0) + 1
-        if node.is_executable:
-            self.executed_operations += 1
-
-    def count_branch(self, node: BranchNode, taken: bool) -> None:
-        self.executed_conditionals += 1
-        table = self.branch_true if taken else self.branch_false
-        table[node.id] = table.get(node.id, 0) + 1
 
     def count_of(self, node_id: int) -> int:
         return self.node_counts.get(node_id, 0)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.errors import DifferentialMismatch
-from repro.interp.machine import DEFAULT_STEP_LIMIT, run_icfg
+from repro.interp.machine import DEFAULT_STEP_LIMIT, DecodedICFG, run_icfg
 from repro.interp.workload import Workload
 from repro.ir.icfg import ICFG
 from repro.robustness.runtime import checkpoint
@@ -95,7 +95,7 @@ class OriginalRuns:
     """
 
     def __init__(self, icfg: ICFG) -> None:
-        self.icfg = icfg
+        self.decoded = DecodedICFG(icfg)
         #: Runs of ``icfg`` actually executed so far.
         self.executed = 0
         self._observed: Dict[Tuple, Tuple] = {}
@@ -105,7 +105,7 @@ class OriginalRuns:
         key = (tuple(workload.values), workload.default, step_limit)
         observed = self._observed.get(key)
         if observed is None:
-            observed = run_icfg(self.icfg, workload.fresh(),
+            observed = run_icfg(self.decoded, workload.fresh(),
                                 step_limit=step_limit).observable
             self._observed[key] = observed
             self.executed += 1
@@ -132,10 +132,13 @@ def differential_check(original: Union[ICFG, OriginalRuns], optimized: ICFG,
     obs.add("diffcheck.calls")
     report = DiffReport(runs=len(workloads))
     executed = original.executed
+    # Decoded here, not kept: the optimizer edits its working graph in
+    # place between checks.
+    candidate = DecodedICFG(optimized)
     with obs.span("diffcheck", workloads=len(workloads)) as span:
         for workload in workloads:
             before = original.observable(workload, step_limit)
-            after = run_icfg(optimized, workload.fresh(),
+            after = run_icfg(candidate, workload.fresh(),
                              step_limit=step_limit).observable
             if before != after:
                 report.mismatches.append(DiffMismatch(

@@ -1,3 +1,5 @@
+import time
+
 from tests.helpers import build, run
 
 from repro.interp import Workload, run_icfg
@@ -74,6 +76,22 @@ def test_heap_alloc_load_store():
 def test_alloc_nonpositive_size_yields_null():
     result = run("proc main() { print alloc(0); print alloc(-3); }")
     assert result.output == [0, 0]
+
+
+def test_alloc_takes_constant_time_whatever_its_size():
+    started = time.perf_counter()
+    result = run("""
+        proc main() {
+            var p = alloc(1000000000000);
+            print load(p + 999999999999);
+            print load(p + 1000000000000);
+        }
+    """)
+    assert time.perf_counter() - started < 1.0
+    # The last cell reads 0 without a store; one past it is wild.
+    assert result.output == [0]
+    assert result.status == "fault"
+    assert result.fault_message == "wild load at address 1000000000001"
 
 
 def test_null_load_faults():

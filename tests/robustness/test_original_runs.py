@@ -100,6 +100,19 @@ def test_recorded_observables_give_the_same_verdicts():
     assert first.original == run_icfg(icfg, workload).observable
 
 
+def test_a_graph_edited_between_checks_is_checked_as_edited():
+    # The decoded step table lives for one check: a table kept on the
+    # graph, its nodes or the recorded original would still see the
+    # print as it was before the in-place edit.
+    icfg = build(FGETC_LIKE)
+    recorded = OriginalRuns(icfg)
+    working = icfg.clone()
+    assert differential_check(recorded, working).ok
+    corrupt_icfg(working, "skew-print", random.Random(3))
+    assert not differential_check(recorded, working).ok
+    assert recorded.executed == 4
+
+
 def test_each_check_still_hits_the_fault_site_once():
     icfg = build(FGETC_LIKE)
     recorded = OriginalRuns(icfg)
