@@ -19,6 +19,10 @@ the checked-in ``benchmarks/BENCH_BASELINE.json``:
   spin loop measured on the same machine in the same process, which
   cancels most of the hardware and interpreter-version variance between
   the laptop that wrote the baseline and the CI runner that checks it.
+  Every run prints its calibration beside the baseline's (the
+  calibration an entry was recorded under is its ``wall_s`` over its
+  ``wall_ratio``), and a wall-ratio failure names both, so a failure
+  caused by a slow or fast calibration reads as one.
 
 Usage::
 
@@ -83,6 +87,26 @@ def calibrate() -> float:
     return best
 
 
+def baseline_calibration(baseline: dict):
+    """The calibration, in seconds, that ``baseline`` was recorded
+    under, or None for a baseline with no entries.
+
+    Each entry's ``wall_ratio`` is its ``wall_s`` over that calibration;
+    the entry with the longest ``wall_s`` keeps the most digits of it
+    through the rounding of both.
+    """
+    entries = [entry for entry in baseline.get("benchmarks", {}).values()
+               if entry.get("wall_ratio")]
+    if not entries:
+        return None
+    longest = max(entries, key=lambda entry: entry["wall_s"])
+    return longest["wall_s"] / longest["wall_ratio"]
+
+
+def _ms(seconds) -> str:
+    return "unknown" if seconds is None else f"{seconds * 1000:.1f}ms"
+
+
 def measure(name: str, calibration_s: float, scale: int = SCALE,
             diff_check: bool = False, intra: bool = False):
     """One benchmark's (metrics snapshot, wall ratio, spans)."""
@@ -138,8 +162,11 @@ def run_suite(trace_path=None):
     return results, calibration_s
 
 
-def check(results, baseline, tolerance: float) -> list:
-    """Every gate violation as a human-readable string."""
+def check(results, baseline, tolerance: float,
+          calibration_s: float) -> list:
+    """Every gate violation as a human-readable string; ``calibration_s``
+    is this run's calibration, which a wall-ratio failure names beside
+    the baseline's."""
     failures = []
     if baseline.get("version") != BASELINE_VERSION:
         return [f"baseline version {baseline.get('version')!r} != "
@@ -160,7 +187,9 @@ def check(results, baseline, tolerance: float) -> list:
             failures.append(
                 f"{name}: wall ratio {measured['wall_ratio']:.2f} exceeds "
                 f"baseline {expected['wall_ratio']:.2f} "
-                f"+{tolerance:.0%} tolerance (= {allowed:.2f})")
+                f"+{tolerance:.0%} tolerance (= {allowed:.2f}); "
+                f"calibration {_ms(calibration_s)}, baseline's "
+                f"{_ms(baseline_calibration(baseline))}")
     for name in recorded:
         if name not in results:
             failures.append(f"{name}: in baseline but no longer measured")
@@ -193,6 +222,10 @@ def main(argv=None) -> int:
                         help="write the measured runs' span tree as JSONL")
     args = parser.parse_args(argv)
 
+    baseline = None
+    if os.path.exists(BASELINE_PATH):
+        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
     results, calibration_s = run_suite(trace_path=args.trace)
     for name, entry in results.items():
         counters = entry["metrics"]["counters"]
@@ -200,7 +233,8 @@ def main(argv=None) -> int:
               f"ratio {entry['wall_ratio']:6.2f}  "
               f"optimized {counters.get('optimize.optimized', 0)}  "
               f"pairs {counters.get('analysis.pairs_examined', 0)}")
-    print(f"calibration: {calibration_s*1000:.1f}ms")
+    print(f"calibration: {_ms(calibration_s)} (baseline "
+          f"{_ms(baseline_calibration(baseline or {}))})")
 
     if args.update:
         payload = {"version": BASELINE_VERSION, "scale": SCALE,
@@ -212,13 +246,11 @@ def main(argv=None) -> int:
         print(f"baseline written to {BASELINE_PATH}")
         return 0
 
-    if not os.path.exists(BASELINE_PATH):
+    if baseline is None:
         print(f"no baseline at {BASELINE_PATH}; run --update first",
               file=sys.stderr)
         return 1
-    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    failures = check(results, baseline, args.tolerance)
+    failures = check(results, baseline, args.tolerance, calibration_s)
     for failure in failures:
         print(f"PERF GATE: {failure}", file=sys.stderr)
     if failures:

@@ -85,10 +85,6 @@ class InterpreterError(ReproError):
     """A runtime fault during ICFG interpretation (e.g. null deref)."""
 
 
-class StepLimitExceeded(InterpreterError):
-    """The interpreter exceeded its step budget (probable infinite loop)."""
-
-
 class AnalysisError(ReproError):
     """Internal inconsistency in the correlation analysis."""
 

@@ -210,10 +210,10 @@ matches the original program's observable traces.
 def _supervisor_section() -> str:
     """Batch-supervisor drill: the suite plus a deliberately failing job.
 
-    Runs the six benchmarks through `icbe batch` machinery (in-process
-    backend — same ladder, breaker and journal discipline as the
-    subprocess backend) with one extra job carrying a strict in-optimizer
-    fault, so the degradation ladder is exercised inside the report run.
+    Runs the six benchmarks through the `icbe batch` supervisor, each
+    attempt in a forked worker as on the command line, with one extra
+    job carrying a strict in-optimizer fault, so the degradation ladder
+    is exercised inside the report run.
     """
     import shutil
     import tempfile
@@ -231,8 +231,7 @@ def _supervisor_section() -> str:
     try:
         batch = BatchSupervisor(
             specs, run_dir,
-            options=SupervisorOptions(isolation="inprocess",
-                                      backoff_base_s=0.0)).run()
+            options=SupervisorOptions(backoff_base_s=0.0)).run()
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 

@@ -80,9 +80,7 @@ class Tier:
             deadline_s=deadline_s,
             diff_check=diff_check,
             diff_seed=diff_seed,
-            fault_plan=fault_plan,
-            tier=self.index,
-            tier_name=self.name)
+            fault_plan=fault_plan)
 
 
 #: The ladder, strongest tier first.  Index i is always LADDER[i].
@@ -130,15 +128,6 @@ class Attempt:
     #: Backoff applied *before* this attempt, in seconds (deterministic
     #: given the batch seed; recorded so journals are self-describing).
     backoff_s: float = 0.0
-    #: Measured attempt telemetry (wall seconds, worker peak RSS in
-    #: KiB).  In-memory only: deliberately excluded from
-    #: :meth:`to_json` — so journal and report bytes stay a pure
-    #: function of the batch definition and seed — and from equality,
-    #: so a live attempt still compares equal to its journal
-    #: round-trip.  Telemetry is persisted to the run directory's
-    #: ``telemetry.jsonl`` sidecar instead.
-    wall_s: float = field(default=0.0, compare=False)
-    peak_rss_kb: int = field(default=0, compare=False)
     #: Structured failure context (e.g. the unloadable path and errno
     #: of a vanished input file).  Serialized only when non-empty, so
     #: journals without context keep their exact historical bytes.

@@ -1,8 +1,9 @@
 """Crash-isolated batch supervisor with checkpoint/resume.
 
 ``icbe batch`` turns the single-program optimizer into a service-shaped
-component: each job runs in an **isolated worker subprocess** (see
-:mod:`~repro.robustness.worker`) under a wall-clock timeout and an
+component: every attempt of every job runs in its own **forked worker
+process** (see :mod:`~repro.robustness.worker`; there is no in-process
+way to run one) under a wall-clock timeout and an
 address-space cap, so one pathological input — a hang in the
 demand-driven analysis, a memory blow-up, a hard crash — costs exactly
 one attempt of one job.  What each attempt means — retry down the
@@ -32,7 +33,7 @@ import select
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -45,7 +46,7 @@ from repro.robustness.guards import DeadlineGuard
 from repro.robustness.journal import Journal
 from repro.robustness.worker import (FrameReader, attempt_spec,
                                      encode_frame, parse_job_source,
-                                     run_attempt, run_forked)
+                                     run_forked)
 from repro.utils import durafs
 
 REPORT_NAME = "report.txt"
@@ -140,28 +141,18 @@ class SupervisorOptions(JobOptions):
     """Batch-level knobs; the per-job ones are :class:`JobOptions`."""
 
     jobs: int = 1                      # parallel workers
-    #: "process" (real subprocess isolation) or "inprocess" (no
-    #: isolation — fast path for property tests; hang injection and
-    #: rlimits are unavailable there).
-    isolation: str = "process"
 
     def fingerprint(self) -> dict:
-        """The deterministic option set journaled in the meta record.
+        """The deterministic option set journaled in the meta record:
+        every :class:`JobOptions` field but ``seed``, which the meta
+        record holds on its own.
 
         ``jobs`` (parallelism) is deliberately excluded: it affects
         scheduling, never outcomes, so a resume may use a different
         worker count and still reproduce the same bytes.
         """
-        return {"timeout_s": self.timeout_s, "memory_mb": self.memory_mb,
-                "budget": self.budget,
-                "duplication_limit": self.duplication_limit,
-                "diff_check": self.diff_check,
-                "conditional_deadline_s": self.conditional_deadline_s,
-                "backoff_base_s": self.backoff_base_s,
-                "backoff_factor": self.backoff_factor,
-                "backoff_jitter": self.backoff_jitter,
-                "backoff_max_s": self.backoff_max_s,
-                "breaker_threshold": self.breaker_threshold}
+        return {option.name: getattr(self, option.name)
+                for option in fields(JobOptions) if option.name != "seed"}
 
 
 @dataclass
@@ -369,10 +360,7 @@ class BatchSupervisor:
                           resumed=report.resumed_jobs):
                 todo = [s for s in states if not s.done]
                 if todo:
-                    if self.options.isolation == "inprocess":
-                        self._run_inprocess(todo)
-                    else:
-                        self._run_processes(todo)
+                    self._run_workers(todo)
                 self._flush_journal()
         finally:
             self._restore_drain_handlers(previous_handlers)
@@ -471,35 +459,9 @@ class BatchSupervisor:
             self._journal_cursor += 1
         return states
 
-    # -- the two execution backends ---------------------------------------
+    # -- running attempts --------------------------------------------------
 
-    def _run_inprocess(self, todo: List[_JobState]) -> None:
-        """No-isolation fast path (tests): same ladder, same breaker,
-        same journal discipline; no real protection against hangs.
-        Chaos injection is process-level by nature (``crash`` would
-        ``os._exit`` the host, ``hang``/``oom`` would take it down), so
-        only in-optimizer fault plans are allowed here."""
-        for state in todo:
-            if state.spec.inject:
-                raise SupervisorError(
-                    f"{state.spec.inject.get('kind')!r} injection requires "
-                    f"process isolation", job=state.spec.name)
-        pending = list(todo)
-        while pending:
-            if self._drain_signum:
-                return
-            state = pending.pop(0)
-            with obs.span("batch.attempt", job=state.spec.name,
-                          tier=state.tier):
-                payload = run_attempt(self._attempt_spec(state))
-                self._classify_structured(state, payload)
-            if state.done:
-                self._flush_journal()
-            else:
-                state.eligible_at = 0.0  # in-process: no real sleeping
-                pending.append(state)
-
-    def _run_processes(self, todo: List[_JobState]) -> None:
+    def _run_workers(self, todo: List[_JobState]) -> None:
         ready: List[_JobState] = list(todo)
         waiting: List[_JobState] = []
         running: List[_Running] = []
@@ -586,8 +548,7 @@ class BatchSupervisor:
         state = worker.state
         if worker.payload is not None:
             worker.kill()    # its result is in: nothing left to wait for
-            self._classify_structured(state, worker.payload,
-                                      supervisor_wall_s=elapsed_s)
+            self._classify_structured(state, worker.payload, elapsed_s)
             return
         result, detail = degrade.death_verdict(
             worker.exitcode, worker.kill_reason, self.options.timeout_s)
@@ -599,24 +560,21 @@ class BatchSupervisor:
                            span_wall_s=elapsed_s)
 
     def _classify_structured(self, state: _JobState, payload: dict,
-                             supervisor_wall_s: Optional[float] = None,
-                             ) -> None:
+                             supervisor_wall_s: float) -> None:
         """Strip the observability side channels off ``payload``, then
         classify the deterministic remainder.
 
         Telemetry, spans, and metrics are accounting only — they may
         never influence the verdict, the ladder, or the journal bytes.
-        ``supervisor_wall_s`` is set for subprocess attempts (used to
-        place the adopted worker trace on the supervisor's clock); it is
-        ``None`` for in-process attempts, whose spans already live in
-        the ambient session.
+        ``supervisor_wall_s``, the attempt's wall time on the
+        supervisor's clock, places the adopted worker trace.
         """
         telemetry = payload.pop("telemetry", None) or {}
         spans = payload.pop("spans", None)
         metrics = payload.pop("metrics", None)
         before = len(state.attempts)
         self._conclude(state, self.policy.settle(state, payload))
-        wall_s = float(telemetry.get("wall_s", supervisor_wall_s or 0.0))
+        wall_s = float(telemetry.get("wall_s", supervisor_wall_s))
         self._note_attempt(state, before, wall_s=wall_s,
                            peak_rss_kb=int(telemetry.get("peak_rss_kb", 0)),
                            span_wall_s=supervisor_wall_s, spans=spans,
@@ -634,18 +592,14 @@ class BatchSupervisor:
     # -- observability accounting (never affects outcomes) -----------------
 
     def _note_attempt(self, state: _JobState, attempt_index: int,
-                      wall_s: float, peak_rss_kb: int,
-                      span_wall_s: Optional[float] = None, spans=None,
-                      metrics=None) -> None:
-        """Record one attempt's measured wall time and peak RSS: on the
-        in-memory :class:`Attempt`, in the report, and in the
-        ``telemetry.jsonl`` sidecar — never in the journal.  A
-        subprocess attempt (``span_wall_s`` set) also becomes a
-        retroactive ``batch.attempt`` span in the supervisor's trace,
-        adopting the worker's own spans and metrics."""
+                      wall_s: float, peak_rss_kb: int, span_wall_s: float,
+                      spans=None, metrics=None) -> None:
+        """Record one attempt's measured wall time and peak RSS in the
+        report and in the ``telemetry.jsonl`` sidecar — never in the
+        journal — and place the attempt, ``span_wall_s`` long, in the
+        supervisor's trace as a retroactive ``batch.attempt`` span that
+        adopts the worker's own spans and metrics."""
         attempt = state.attempts[attempt_index]
-        attempt.wall_s = wall_s
-        attempt.peak_rss_kb = peak_rss_kb
         record = {"job": state.spec.name, "index": state.index,
                   "attempt": attempt_index, "tier": attempt.tier,
                   "result": attempt.result, "wall_s": round(wall_s, 6),
@@ -660,11 +614,10 @@ class BatchSupervisor:
                 handle.close()
                 self._telemetry_handle = None
         obs.add("batch.attempts")
-        if span_wall_s is not None:
-            obs.record_worker_span(
-                "batch.attempt", span_wall_s, spans, metrics,
-                origin=f"worker:{state.spec.name}", job=state.spec.name,
-                tier=attempt.tier, result=attempt.result)
+        obs.record_worker_span(
+            "batch.attempt", span_wall_s, spans, metrics,
+            origin=f"worker:{state.spec.name}", job=state.spec.name,
+            tier=attempt.tier, result=attempt.result)
 
     # -- persistence -------------------------------------------------------
 

@@ -228,10 +228,10 @@ def run_attempt(spec: dict) -> dict:
     """
     started = time.monotonic()
     if spec.get("trace") and not obs.enabled():
-        # Subprocess case: trace into a private session and serialize
-        # it for the host to adopt.  (In-process attempts find the
-        # supervisor's session already active and just inherit it —
-        # their spans parent naturally, so nothing is exported.)
+        # Trace into a private session and serialize it for the host to
+        # adopt.  (A caller already tracing, such as a test replaying
+        # an attempt in its own process, keeps its session: sessions do
+        # not nest.)
         with obs.session() as active:
             with obs.span("worker.attempt", job=spec.get("job", ""),
                           tier=spec.get("tier", 0)):

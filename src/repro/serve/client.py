@@ -105,16 +105,3 @@ class ServeClient:
 
     def drain(self) -> Response:
         return self.request("POST", "/v1/drain")
-
-    def wait_ready(self, timeout_s: float = 60.0) -> None:
-        """Block until /readyz answers 200 (daemon bound and healthy)."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            try:
-                if self.readyz()[0] == 200:
-                    return
-            except OSError:
-                pass
-            time.sleep(0.05)
-        raise ServeError(f"daemon at {self.host}:{self.port} not ready "
-                         f"after {timeout_s:g}s")

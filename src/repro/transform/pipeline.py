@@ -114,13 +114,6 @@ class OptimizerOptions:
     #: Spill a diagnostics bundle per failure into this directory
     #: (None = keep bundles in memory on the report only).
     diagnostics_dir: Optional[str] = None
-    #: Degradation-ladder hook (see :mod:`repro.robustness.degrade`):
-    #: which ladder tier these options encode.  Purely descriptive here —
-    #: tier *semantics* are expressed through the other fields — but the
-    #: optimizer stamps it onto the report so a batch supervisor (and
-    #: its journal) can attribute every result to the tier that made it.
-    tier: int = 0
-    tier_name: str = "full"
 
 
 @dataclass
@@ -176,10 +169,6 @@ class OptimizationReport:
     conditionals_after: int = 0
     elapsed_seconds: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
-    #: Degradation-ladder tier the run executed at (stamped from
-    #: :attr:`OptimizerOptions.tier`; 0/"full" outside batch runs).
-    tier: int = 0
-    tier_name: str = "full"
 
     @property
     def optimized_count(self) -> int:
@@ -509,13 +498,11 @@ class ICBEOptimizer:
         report = OptimizationReport(
             optimized=current,
             nodes_before=icfg.node_count(),
-            conditionals_before=icfg.conditional_node_count(),
-            tier=opts.tier, tier_name=opts.tier_name)
+            conditionals_before=icfg.conditional_node_count())
         state = PipelineState(options=opts, original=icfg, current=current,
                               report=report)
         with obs.span("optimize", nodes=report.nodes_before,
-                      conditionals=report.conditionals_before,
-                      tier=opts.tier_name):
+                      conditionals=report.conditionals_before):
             with obs.span("pass.restructure"):
                 restructure(state)
             with obs.span("pass.simplify"):

@@ -67,24 +67,35 @@ def test_profile_given_before_the_subcommand(capsys):
     assert "pass.restructure" in capsys.readouterr().err
 
 
-def _batch(run_dir, trace=False):
-    from repro.robustness.supervisor import run_batch, SupervisorOptions
+#: The EXPERIMENTS.md supervisor drill's strict fault job: it fails at
+#: full and intra and lands on parse-through, three attempts in all.
+DRILL_FAULTED = dict(source="suite:go_like@1", name="drill-faulted",
+                     faults=({"site": "transform:split", "hit": 1,
+                              "action": "raise"},), strict=True)
 
-    options = SupervisorOptions(jobs=2, timeout_s=60, seed=3)
+
+def _batch(run_dir, trace=False, faulted=False):
+    from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
+                                             SupervisorOptions)
+
+    specs = [JobSpec("suite:compress_like@1")]
+    if faulted:
+        specs.append(JobSpec(**DRILL_FAULTED))
+    supervisor = BatchSupervisor(
+        specs, run_dir, options=SupervisorOptions(
+            jobs=2, timeout_s=60, seed=3, backoff_base_s=0.0))
     if not trace:
-        return run_batch(["suite:compress_like@1"], run_dir,
-                         options=options), None
+        return supervisor.run(), None
     with obs.session() as active:
-        report = run_batch(["suite:compress_like@1"], run_dir,
-                           options=options)
+        report = supervisor.run()
     return report, active
 
 
 def test_supervisor_adopts_worker_spans_and_keeps_journal_bytes(tmp_path):
     plain_dir = str(tmp_path / "plain")
     traced_dir = str(tmp_path / "traced")
-    _batch(plain_dir)
-    report, active = _batch(traced_dir, trace=True)
+    _batch(plain_dir, faulted=True)
+    report, active = _batch(traced_dir, trace=True, faulted=True)
 
     # Tracing must not perturb the journal or report bytes.
     for name in ("journal.jsonl", "report.txt"):
@@ -108,10 +119,31 @@ def test_supervisor_adopts_worker_spans_and_keeps_journal_bytes(tmp_path):
         assert "batch.attempt" in chain
     assert {"batch.run", "batch.attempt", "worker.attempt",
             "optimize"} <= {record["name"] for record in spans}
-    # Worker metrics merged into the supervisor's registry.
+
+    # One retroactive batch.attempt span per attempt, each adopting the
+    # worker.attempt root of its own worker.
+    faulted = report.outcomes[1]
+    assert (faulted.status, len(faulted.attempts)) == ("DEGRADED", 3)
+    attempts = [record for record in spans
+                if record["name"] == "batch.attempt"]
+    assert sorted((record["attrs"]["job"], record["attrs"]["tier"])
+                  for record in attempts) == [
+        ("compress_like", 0), ("drill-faulted", 0), ("drill-faulted", 1),
+        ("drill-faulted", 2)]
+    for attempt in attempts:
+        children = [record["name"] for record in spans
+                    if record["parent"] == attempt["id"]]
+        assert children == ["worker.attempt"], attempt
+
+    # Worker metrics merged into the supervisor's registry, and one
+    # batch.attempts count per journaled attempt.
     counters = active.metrics.snapshot()["counters"]
     assert counters.get("optimize.runs", 0) >= 1
-    assert counters.get("batch.attempts") == 1
+    journaled = [json.loads(line) for line in
+                 open(os.path.join(traced_dir, "journal.jsonl"), "rb")]
+    assert counters.get("batch.attempts") == sum(
+        len(record["outcome"]["attempts"]) for record in journaled
+        if record["type"] == "job") == 4
 
 
 def test_telemetry_sidecar_and_rollup(tmp_path):
@@ -128,7 +160,6 @@ def test_telemetry_sidecar_and_rollup(tmp_path):
     rollup = report.job_telemetry()
     assert rollup["compress_like"]["attempts"] == 1
     assert rollup["compress_like"]["peak_rss_kb"] == record["peak_rss_kb"]
-    # Attempts carry the telemetry in memory but never journal it.
-    attempt = report.outcomes[0].attempts[0]
-    assert attempt.wall_s > 0 and attempt.peak_rss_kb > 0
-    assert "wall_s" not in attempt.to_json()
+    # The report and the sidecar hold the telemetry; the journal never.
+    assert report.telemetry == records
+    assert "wall_s" not in report.outcomes[0].attempts[0].to_json()

@@ -7,10 +7,9 @@ claim OK/DEGRADED when the winning tier's output actually passes
 structural verification *and* differential validation — which is
 re-checked here by replaying the winning attempt through the worker.
 
-The in-process backend is used: it shares the ladder, breaker, and
-journal code with the subprocess backend (whose process-level chaos —
-hang/crash/OOM — is exercised in tests/robustness/test_supervisor.py
-and benchmarks/bench_supervisor.py).
+Each attempt runs in a forked worker, as under ``icbe batch``; the
+process-level chaos (hang/crash/OOM) is exercised in
+tests/robustness/test_supervisor.py and benchmarks/bench_supervisor.py.
 """
 
 import os
@@ -58,8 +57,7 @@ def test_supervisor_never_loses_a_job_and_outputs_stay_valid(
         run_dir = os.path.join(scratch, "run")
         supervisor = BatchSupervisor(
             specs, run_dir,
-            options=SupervisorOptions(isolation="inprocess",
-                                      backoff_base_s=0.0, seed=batch_seed))
+            options=SupervisorOptions(backoff_base_s=0.0, seed=batch_seed))
         report = supervisor.run()
 
         # (a) No job is ever lost or left indefinite.

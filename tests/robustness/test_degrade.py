@@ -31,28 +31,15 @@ def test_tier_options_reflect_the_tier():
     full = tier(0).options(budget=123, duplication_limit=7)
     assert full.config.interprocedural
     assert full.config.budget == 123 and full.duplication_limit == 7
-    assert (full.tier, full.tier_name) == (0, "full")
 
     intra = tier(1).options(budget=123)
     assert not intra.config.interprocedural
     assert intra.config.budget == 123
-    assert (intra.tier, intra.tier_name) == (1, "intra")
 
 
 def test_parse_through_tier_has_no_optimizer_options():
     with pytest.raises(ValueError, match="parse-through"):
         tier(2).options()
-
-
-def test_tier_stamps_flow_into_the_optimization_report():
-    from repro.ir import lower_program
-    from repro.lang import parse_program
-    from repro.transform import ICBEOptimizer
-
-    icfg = lower_program(parse_program(
-        "proc main() { if (input() > 0) { print 1; } return 0; }"))
-    report = ICBEOptimizer(tier(1).options()).optimize(icfg)
-    assert (report.tier, report.tier_name) == (1, "intra")
 
 
 def test_attempt_json_roundtrip():

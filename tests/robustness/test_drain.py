@@ -3,9 +3,9 @@
 A signal mid-batch must not lose admitted work: completed jobs stay
 journaled, interrupted ones stay pending, ``--resume`` finishes the
 batch, and the finished journal + report are byte-identical to an
-uninterrupted run.  The in-process tests drive the drain flag
-deterministically; one subprocess test delivers a real SIGTERM to the
-CLI and watches the conventional exit codes (143/130).
+uninterrupted run.  Most tests drive the supervisor's drain flag
+deterministically between attempts; one test delivers a real SIGTERM
+to the CLI and watches the conventional exit codes (143/130).
 """
 
 import json
@@ -35,8 +35,7 @@ proc main() {
 
 
 def _options(**overrides):
-    base = dict(isolation="inprocess", backoff_base_s=0.0, timeout_s=10.0,
-                seed=3)
+    base = dict(backoff_base_s=0.0, timeout_s=10.0, seed=3)
     base.update(overrides)
     return SupervisorOptions(**base)
 
@@ -51,8 +50,8 @@ def _drain_after_first_job(monkeypatch, signum):
     classifies — the deterministic stand-in for a mid-batch signal."""
     original = BatchSupervisor._classify_structured
 
-    def classify_then_signal(self, state, payload):
-        original(self, state, payload)
+    def classify_then_signal(self, state, payload, supervisor_wall_s):
+        original(self, state, payload, supervisor_wall_s)
         self._drain_signum = signum
 
     monkeypatch.setattr(BatchSupervisor, "_classify_structured",

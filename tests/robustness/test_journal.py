@@ -194,12 +194,11 @@ def test_resume_refuses_a_v1_journal_before_any_job_runs(tmp_path):
     path.write_text("".join(canonical_json(r) + "\n" for r in records))
     journaled = path.read_bytes()
 
-    with mock.patch("repro.robustness.supervisor.run_attempt",
-                    side_effect=AssertionError("a job ran")):
+    with mock.patch.object(BatchSupervisor, "_launch",
+                           side_effect=AssertionError("a job ran")):
         with pytest.raises(SupervisorError,
                            match=f"schema v1 != v{SCHEMA_VERSION}"):
-            BatchSupervisor([], str(run_dir),
-                            options=SupervisorOptions(isolation="inprocess"),
+            BatchSupervisor([], str(run_dir), options=SupervisorOptions(),
                             resume=True).run()
     assert path.read_bytes() == journaled
     assert sorted(os.listdir(run_dir)) == [JOURNAL_NAME]

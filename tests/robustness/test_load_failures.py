@@ -29,8 +29,7 @@ proc main() {
 
 
 def _options(**overrides):
-    base = dict(isolation="inprocess", backoff_base_s=0.0, timeout_s=10.0,
-                seed=3)
+    base = dict(backoff_base_s=0.0, timeout_s=10.0, seed=3)
     base.update(overrides)
     return SupervisorOptions(**base)
 
@@ -97,8 +96,8 @@ def test_input_deleted_between_drain_and_resume(tmp_path, monkeypatch):
 
     original = BatchSupervisor._classify_structured
 
-    def classify_then_signal(self, state, payload):
-        original(self, state, payload)
+    def classify_then_signal(self, state, payload, supervisor_wall_s):
+        original(self, state, payload, supervisor_wall_s)
         self._drain_signum = signal.SIGTERM
 
     from repro.errors import SupervisorDrained

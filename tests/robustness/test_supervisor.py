@@ -1,18 +1,19 @@
 """The batch supervisor: ladder, breaker, journal, resume, determinism.
 
-Most tests use the in-process backend (same ladder/breaker/journal code
-paths, no forking); chaos injection (hang/crash) is process-level by
-nature, so those few tests pay for real subprocesses with small
-programs and short timeouts.
+Every attempt runs in a forked worker, as under ``icbe batch``; the
+tests keep their programs small and their backoffs at zero.  Chaos
+injection (hang/crash/oom) needs a worker to kill, so only those tests
+set short timeouts or memory caps of their own.
 """
 
 import os
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import SupervisorError
 from repro.robustness.degrade import (STATUS_DEGRADED, STATUS_FAILED,
-                                      STATUS_OK, JobPolicy)
+                                      STATUS_OK, JobOptions, JobPolicy)
 from repro.robustness.journal import Journal
 from repro.robustness.supervisor import (BatchSupervisor, JobSpec,
                                          REPORT_NAME, SupervisorOptions,
@@ -41,8 +42,7 @@ def program_file(tmp_path):
 
 
 def _options(**overrides):
-    base = dict(isolation="inprocess", backoff_base_s=0.0, timeout_s=10.0,
-                seed=3)
+    base = dict(backoff_base_s=0.0, timeout_s=10.0, seed=3)
     base.update(overrides)
     return SupervisorOptions(**base)
 
@@ -115,13 +115,6 @@ def test_strict_fault_descends_exactly_one_tier_per_attempt(
     assert "FaultInjected" in outcome.reason
 
 
-def test_inprocess_backend_rejects_chaos_injection(program_file, tmp_path):
-    spec = JobSpec(program_file, inject={"kind": "hang", "tiers": [0]})
-    with pytest.raises(SupervisorError, match="process isolation"):
-        BatchSupervisor([spec], str(tmp_path / "run"),
-                        options=_options()).run()
-
-
 def test_backoff_is_seeded_bounded_and_order_independent(program_file):
     # The batch keys a job's backoff by its index and source, never by
     # when it happened to run.
@@ -136,6 +129,21 @@ def test_backoff_is_seeded_bounded_and_order_independent(program_file):
     other_seed = JobPolicy(_options(seed=12, backoff_jitter=1.0,
                                     backoff_base_s=0.5))
     assert other_seed.backoff_delay(key, 1) != first
+
+
+def test_fingerprint_is_every_job_option_but_the_seed():
+    # ``--resume`` checks the journaled fingerprint, so it must hold
+    # every option that can shape an outcome; the seed is journaled on
+    # its own and ``jobs`` only schedules.  The names are today's meta
+    # keys: a new job option changes every journal's bytes.
+    fingerprint = _options().fingerprint()
+    assert set(fingerprint) == ({option.name for option in fields(JobOptions)}
+                                - {"seed"})
+    assert sorted(fingerprint) == [
+        "backoff_base_s", "backoff_factor", "backoff_jitter",
+        "backoff_max_s", "breaker_threshold", "budget",
+        "conditional_deadline_s", "diff_check", "duplication_limit",
+        "memory_mb", "timeout_s"]
 
 
 def test_identical_seeded_runs_are_byte_identical(program_file, tmp_path):
@@ -232,7 +240,7 @@ def test_resume_without_explicit_jobs_reloads_them(program_file, tmp_path):
     assert report.outcomes[0].status == STATUS_OK
 
 
-# -- real subprocess isolation (chaos needs a process to kill) ------------
+# -- chaos injection (a worker to hang, crash or exhaust memory) --------
 
 
 def test_hang_is_killed_and_job_degrades_one_tier(program_file, tmp_path):

@@ -48,7 +48,8 @@ def test_exception_hierarchy_is_rooted():
              errors.TransformError]
     for exc in roots:
         assert issubclass(exc, errors.ReproError)
-    assert issubclass(errors.StepLimitExceeded, errors.InterpreterError)
+    # A step limit is a run status ("step-limit"), not an exception.
+    assert not hasattr(errors, "StepLimitExceeded")
 
 
 def test_package_exports_match_all():
